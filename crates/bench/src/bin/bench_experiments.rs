@@ -12,11 +12,11 @@
 //! `FSR_BENCH_OUT`).
 
 use fsr_bench::Knobs;
-use fsr_core::driver::{run_jobs, Job, PlanSourceSpec};
+use fsr_core::driver::{run_batch_with_stats, run_jobs, Job, JobResults, PlanSourceSpec};
 use fsr_core::experiments::{
     figure3, headline_from_rows, plan_spec, table2, Fig3Row, Headline, Table2Row, Vsn,
 };
-use fsr_core::{plan_of, PipelineConfig, PlanSource};
+use fsr_core::{plan_of, PipelineConfig, PipelineError, PlanSource};
 use fsr_transform::ObjPlan;
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,11 +25,11 @@ const FIG3_BLOCKS: [u32; 2] = [16, 128];
 const TABLE2_BLOCKS: [u32; 6] = [8, 16, 32, 64, 128, 256];
 const HEADLINE_BLOCK: u32 = 128;
 
-/// Figure 3 via the reference path: one full pipeline per cell.
-fn fig3_unbatched(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> Vec<Fig3Row> {
-    let set = fsr_workloads::figure3_set();
-    let mut jobs: Vec<Job<(&'static str, u32, Vsn)>> = Vec::new();
-    for w in &set {
+/// The Figure 3 grid, one job per (program, block, version) cell —
+/// the same jobs [`figure3`] submits as one batch.
+fn fig3_jobs(nproc: i64, scale: i64, blocks: &[u32]) -> Vec<Job<(&'static str, u32, Vsn)>> {
+    let mut jobs = Vec::new();
+    for w in &fsr_workloads::figure3_set() {
         for &b in blocks {
             for v in [Vsn::N, Vsn::C] {
                 jobs.push(Job {
@@ -42,7 +42,62 @@ fn fig3_unbatched(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> Vec
             }
         }
     }
-    run_jobs(jobs, threads)
+    jobs
+}
+
+/// The Table 2 grid, one job per (program index, block, cell) sample —
+/// the same jobs [`table2`] submits as one batch. Cell 0 is the
+/// unoptimized baseline, 1 the full plan, 2..=5 the per-class
+/// ablations (transpose, indirection, pad, locks).
+fn table2_jobs(nproc: i64, scale: i64, blocks: &[u32]) -> Vec<Job<(usize, u32, usize)>> {
+    let mut jobs = Vec::new();
+    for (wi, w) in fsr_workloads::figure3_set().iter().enumerate() {
+        let prog = fsr_lang::compile_with_params(w.source, &[("NPROC", nproc), ("SCALE", scale)])
+            .expect("workload compiles");
+        for &b in blocks {
+            let cfg = PipelineConfig::with_block(b);
+            let full = plan_of(&prog, &PlanSource::Compiler, &cfg).expect("plan");
+            let cells = [
+                PlanSourceSpec::Unoptimized,
+                PlanSourceSpec::Explicit(full.clone()),
+                PlanSourceSpec::Explicit(
+                    full.retain_kind(|p| matches!(p, ObjPlan::Transpose { .. })),
+                ),
+                PlanSourceSpec::Explicit(
+                    full.retain_kind(|p| matches!(p, ObjPlan::Indirect { .. })),
+                ),
+                PlanSourceSpec::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadElems))),
+                PlanSourceSpec::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadLock))),
+            ];
+            for (cell, plan) in cells.into_iter().enumerate() {
+                jobs.push(Job {
+                    meta: (wi, b, cell),
+                    src: Arc::from(w.source),
+                    params: vec![("NPROC".into(), nproc), ("SCALE".into(), scale)],
+                    plan,
+                    cfg: cfg.clone(),
+                });
+            }
+        }
+    }
+    jobs
+}
+
+/// Interpreter runs the reference path spent on `out`: every job whose
+/// pipeline got past front end and layout interpreted exactly once
+/// (runtime errors included).
+fn interpretations<M>(out: &JobResults<M>) -> usize {
+    out.iter()
+        .filter(|(_, r)| matches!(r, Ok(_) | Err(PipelineError::Runtime(_))))
+        .count()
+}
+
+/// Figure 3 via the reference path: one full pipeline per cell. Also
+/// returns the interpreter runs spent.
+fn fig3_unbatched(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> (Vec<Fig3Row>, usize) {
+    let out = run_jobs(fig3_jobs(nproc, scale, blocks), threads);
+    let interps = interpretations(&out);
+    let rows = out
         .into_iter()
         .filter_map(|(job, r)| {
             let r = r.ok()?;
@@ -58,61 +113,38 @@ fn fig3_unbatched(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> Vec
                 other_miss_rate: r.sim.other_misses() as f64 / r.sim.refs.max(1) as f64,
             })
         })
-        .collect()
+        .collect();
+    (rows, interps)
 }
 
-/// Table 2 via the reference path: per-(program, block) job sets, each
-/// cell a full pipeline.
-fn table2_unbatched(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> Vec<Table2Row> {
-    let set = fsr_workloads::figure3_set();
+/// Table 2 via the reference path: each sample a full pipeline. Also
+/// returns the interpreter runs spent.
+fn table2_unbatched(
+    nproc: i64,
+    scale: i64,
+    blocks: &[u32],
+    threads: usize,
+) -> (Vec<Table2Row>, usize) {
+    let out = run_jobs(table2_jobs(nproc, scale, blocks), threads);
+    let fs_of = |meta: (usize, u32, usize)| -> Option<u64> {
+        out.iter()
+            .find(|(j, _)| j.meta == meta)
+            .and_then(|(_, r)| r.as_ref().ok().map(|r| r.sim.false_sharing()))
+    };
     let mut rows = Vec::new();
-    for w in &set {
+    for (wi, w) in fsr_workloads::figure3_set().iter().enumerate() {
         let mut acc = [0.0f64; 5];
         let mut samples = 0usize;
         let mut dropped = 0usize;
         for &b in blocks {
-            let cfg = PipelineConfig::with_block(b);
-            let prog =
-                fsr_lang::compile_with_params(w.source, &[("NPROC", nproc), ("SCALE", scale)])
-                    .expect("workload compiles");
-            let full = plan_of(&prog, &PlanSource::Compiler, &cfg).expect("plan");
-            let cells = [
-                PlanSourceSpec::Unoptimized,
-                PlanSourceSpec::Explicit(full.clone()),
-                PlanSourceSpec::Explicit(
-                    full.retain_kind(|p| matches!(p, ObjPlan::Transpose { .. })),
-                ),
-                PlanSourceSpec::Explicit(
-                    full.retain_kind(|p| matches!(p, ObjPlan::Indirect { .. })),
-                ),
-                PlanSourceSpec::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadElems))),
-                PlanSourceSpec::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadLock))),
-            ];
-            let jobs: Vec<Job<usize>> = cells
-                .into_iter()
-                .enumerate()
-                .map(|(cell, plan)| Job {
-                    meta: cell,
-                    src: Arc::from(w.source),
-                    params: vec![("NPROC".into(), nproc), ("SCALE".into(), scale)],
-                    plan,
-                    cfg: cfg.clone(),
-                })
-                .collect();
-            let out = run_jobs(jobs, threads);
-            let fs_of = |cell: usize| -> Option<u64> {
-                out.iter()
-                    .find(|(j, _)| j.meta == cell)
-                    .and_then(|(_, r)| r.as_ref().ok().map(|r| r.sim.false_sharing()))
-            };
-            let base = fs_of(0).unwrap_or(0);
+            let base = fs_of((wi, b, 0)).unwrap_or(0);
             if base == 0 {
                 dropped += 1;
                 continue;
             }
             let reduction = |fs: u64| 100.0 * (base.saturating_sub(fs)) as f64 / base as f64;
             for (k, a) in acc.iter_mut().enumerate() {
-                if let Some(f) = fs_of(k + 1) {
+                if let Some(f) = fs_of((wi, b, k + 1)) {
                     *a += reduction(f);
                 }
             }
@@ -131,7 +163,7 @@ fn table2_unbatched(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> V
             dropped_blocks: dropped,
         });
     }
-    rows
+    (rows, interpretations(&out))
 }
 
 fn same_fig3(a: &[Fig3Row], b: &[Fig3Row]) -> bool {
@@ -179,27 +211,34 @@ fn main() {
     );
 
     // Unbatched reference suite.
-    let i0 = fsr_interp::runs_started();
     let t0 = Instant::now();
-    let ref_fig3 = fig3_unbatched(k.nproc, k.scale, &FIG3_BLOCKS, k.threads);
-    let ref_table2 = table2_unbatched(k.nproc, k.scale, &TABLE2_BLOCKS, k.threads);
+    let (ref_fig3, fig3_interps) = fig3_unbatched(k.nproc, k.scale, &FIG3_BLOCKS, k.threads);
+    let (ref_table2, table2_interps) =
+        table2_unbatched(k.nproc, k.scale, &TABLE2_BLOCKS, k.threads);
     // Pre-batching headline: re-runs its own Figure 3 column.
-    let ref_headline = headline_from_rows(
-        &fig3_unbatched(k.nproc, k.scale, &[HEADLINE_BLOCK], k.threads),
-        HEADLINE_BLOCK,
-    );
+    let (headline_rows, headline_interps) =
+        fig3_unbatched(k.nproc, k.scale, &[HEADLINE_BLOCK], k.threads);
+    let ref_headline = headline_from_rows(&headline_rows, HEADLINE_BLOCK);
     let unbatched = t0.elapsed();
-    let unbatched_interps = fsr_interp::runs_started() - i0;
+    let unbatched_interps = fig3_interps + table2_interps + headline_interps;
 
     // Batched suite.
-    let i1 = fsr_interp::runs_started();
     let t1 = Instant::now();
     let new_fig3 = figure3(k.nproc, k.scale, &FIG3_BLOCKS, k.threads);
     let new_table2 =
         table2(k.nproc, k.scale, &TABLE2_BLOCKS, k.threads).expect("table2 experiment");
     let new_headline = headline_from_rows(&new_fig3, HEADLINE_BLOCK);
     let batched = t1.elapsed();
-    let batched_interps = fsr_interp::runs_started() - i1;
+    // The generators submit exactly these two grids, one batch each (the
+    // headline reuses the Figure 3 rows), so re-submitting them untimed
+    // reports the interpreter runs the batched suite spent.
+    let batched_interps = [
+        run_batch_with_stats(fig3_jobs(k.nproc, k.scale, &FIG3_BLOCKS), k.threads).1,
+        run_batch_with_stats(table2_jobs(k.nproc, k.scale, &TABLE2_BLOCKS), k.threads).1,
+    ]
+    .iter()
+    .map(|s| s.interpretations)
+    .sum::<usize>();
 
     let identical = same_fig3(&ref_fig3, &new_fig3)
         && same_table2(&ref_table2, &new_table2)

@@ -42,7 +42,7 @@ pub use fsr_transform::{LayoutPlan, ObjPlan, PlanConfig};
 
 use fsr_interp::{MemRef, RunStats, TraceEvent, TraceSink};
 use fsr_machine::TimingModel;
-use fsr_sim::{BankedSim, Outcome, CHUNK_LANES};
+use fsr_sim::{MultiSim, Outcome, CHUNK_LANES};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -129,6 +129,17 @@ impl PipelineConfig {
     pub fn with_engine(mut self, engine: SimEngine) -> PipelineConfig {
         self.engine = engine;
         self
+    }
+
+    /// The cache simulator's configuration for an `nproc`-processor run.
+    pub(crate) fn cache_config(&self, nproc: u32) -> CacheConfig {
+        CacheConfig {
+            nproc,
+            block_bytes: self.block_bytes,
+            cache_bytes: self.cache_bytes,
+            assoc: self.assoc,
+            protocol: self.protocol,
+        }
     }
 }
 
@@ -245,7 +256,7 @@ pub fn resolve_nproc(prog: &Program) -> Result<u32, PipelineError> {
 /// Fixed-width lane buffer for the chunked engine: references
 /// accumulate here until [`CHUNK_LANES`] are pending (or a
 /// synchronization event forces a flush), then replay as one batch
-/// through [`BankedSim::access_chunk`] + `TimingModel::record_chunk`.
+/// through [`MultiSim::access_chunk`] + `TimingModel::record_chunk`.
 struct ChunkBuf {
     len: usize,
     pid: [u8; CHUNK_LANES],
@@ -273,7 +284,7 @@ impl ChunkBuf {
 /// so queue pressure can be attributed per object alongside the
 /// simulator's coherence events.
 struct PipelineSink {
-    sim: BankedSim,
+    sim: MultiSim,
     timing: TimingModel,
     block_queue: Vec<u64>,
     engine: SimEngine,
@@ -281,7 +292,7 @@ struct PipelineSink {
 }
 
 impl PipelineSink {
-    fn new(sim: BankedSim, timing: TimingModel, engine: SimEngine) -> PipelineSink {
+    fn new(sim: MultiSim, timing: TimingModel, engine: SimEngine) -> PipelineSink {
         let nblocks = sim.num_blocks() as usize;
         PipelineSink {
             sim,
@@ -339,9 +350,8 @@ impl PipelineSink {
         mut name_of: impl FnMut(u32) -> Option<String>,
     ) -> RunResult {
         self.flush_chunk();
-        let per_obj = fsr_sim::report::attribute_misses_banked(&self.sim, &mut name_of);
-        let mut per_obj_coherence =
-            fsr_sim::report::attribute_coherence_banked(&self.sim, &mut name_of);
+        let per_obj = fsr_sim::report::attribute_misses(&self.sim, &mut name_of);
+        let mut per_obj_coherence = fsr_sim::report::attribute_coherence(&self.sim, &mut name_of);
         let bb = self.sim.block_bytes();
         for (b, &q) in self.block_queue.iter().enumerate() {
             if q == 0 {
@@ -351,7 +361,7 @@ impl PipelineSink {
             per_obj_coherence.entry(name).or_default().queue_stall += q;
         }
         let mut per_obj_refs: BTreeMap<String, u64> = BTreeMap::new();
-        for (b, n) in self.sim.per_block_refs().into_iter().enumerate() {
+        for (b, &n) in self.sim.per_block_refs().iter().enumerate() {
             if n == 0 {
                 continue;
             }
@@ -361,7 +371,7 @@ impl PipelineSink {
         RunResult {
             nproc,
             plan,
-            sim: self.sim.stats(),
+            sim: self.sim.stats().clone(),
             per_obj,
             per_obj_coherence,
             per_obj_refs,
@@ -465,15 +475,8 @@ pub fn run_pipeline_checked(
     let layout = fsr_layout::Layout::try_build(prog, &plan, nproc)?;
     let code = fsr_interp::compile_program(prog)?;
 
-    let sim_cfg = fsr_sim::CacheConfig {
-        nproc,
-        block_bytes: cfg.block_bytes,
-        cache_bytes: cfg.cache_bytes,
-        assoc: cfg.assoc,
-        protocol: cfg.protocol,
-    };
     let mut sink = PipelineSink::new(
-        BankedSim::new(sim_cfg, layout.total_words() * 4, 1),
+        MultiSim::new(cfg.cache_config(nproc), layout.total_words() * 4),
         TimingModel::new(cfg.machine, nproc),
         cfg.engine,
     );
@@ -566,15 +569,8 @@ pub struct ReplayResult {
 /// (same sink path, chunked buffering included), honoring
 /// `cfg`'s protocol, interconnect, and engine selection.
 pub fn replay_trace(trace: &RecordedTrace, cfg: &PipelineConfig) -> ReplayResult {
-    let sim_cfg = fsr_sim::CacheConfig {
-        nproc: trace.nproc,
-        block_bytes: cfg.block_bytes,
-        cache_bytes: cfg.cache_bytes,
-        assoc: cfg.assoc,
-        protocol: cfg.protocol,
-    };
     let mut sink = PipelineSink::new(
-        BankedSim::new(sim_cfg, trace.addr_space_bytes, 1),
+        MultiSim::new(cfg.cache_config(trace.nproc), trace.addr_space_bytes),
         TimingModel::new(cfg.machine, trace.nproc),
         cfg.engine,
     );
@@ -588,7 +584,7 @@ pub fn replay_trace(trace: &RecordedTrace, cfg: &PipelineConfig) -> ReplayResult
     }
     sink.flush_chunk();
     ReplayResult {
-        sim: sink.sim.stats(),
+        sim: sink.sim.stats().clone(),
         exec_cycles: sink.timing.finish_time(),
         fs_stall_frac: sink.timing.false_sharing_stall_fraction(),
     }

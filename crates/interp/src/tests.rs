@@ -540,29 +540,6 @@ fn recorded_trace_replay_reproduces_the_stream() {
     assert_eq!(vec_direct.0, vec_replayed.0);
 }
 
-#[test]
-fn runs_started_counts_interpreter_constructions() {
-    let (prog, layout, code) = tee_fixture();
-    let before = runs_started();
-    run(
-        &prog,
-        &layout,
-        &code,
-        RunConfig::default(),
-        &mut VecSink::default(),
-    )
-    .unwrap();
-    run(
-        &prog,
-        &layout,
-        &code,
-        RunConfig::default(),
-        &mut VecSink::default(),
-    )
-    .unwrap();
-    assert!(runs_started() - before >= 2);
-}
-
 /// A kernel with barrier skew and lock contention: processes block at
 /// different times, so the work-stealing deques go out of balance and
 /// steals actually happen.

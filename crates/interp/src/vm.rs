@@ -202,16 +202,6 @@ impl TraceSink for RecordedTrace {
     }
 }
 
-/// Process-wide count of interpreter runs started, for tests and batch
-/// accounting: trace-sharing optimizations can assert that N jobs really
-/// cost one interpretation.
-static RUNS_STARTED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Total interpreter runs started in this process.
-pub fn runs_started() -> u64 {
-    RUNS_STARTED.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Run-time error (index out of bounds, division by zero, deadlock,
 /// step-limit exhaustion, arena overflow).
 #[derive(Debug, Clone)]
@@ -537,7 +527,6 @@ pub struct Interp<'a> {
 
 impl<'a> Interp<'a> {
     pub fn new(prog: &Program, layout: &'a Layout, code: &'a Compiled, cfg: RunConfig) -> Self {
-        RUNS_STARTED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let nproc = layout.nproc;
         let main_fc = code.func(code.main);
         let mut procs: Vec<Proc> = (0..nproc)

@@ -108,11 +108,20 @@ impl fmt::Display for Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Protocol messages
+/// nest a handful of levels; the bound keeps a hostile line (say 100k
+/// `[`) from overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document. Trailing non-whitespace is an error (the
 /// transport is strictly one document per line).
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -125,6 +134,8 @@ pub fn parse(src: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -171,8 +182,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -180,6 +191,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -411,6 +437,14 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

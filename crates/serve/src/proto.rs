@@ -195,6 +195,8 @@ pub fn batch_stats_json(s: &BatchStats) -> Value {
         ("interpretations", Value::Int(s.interpretations as i64)),
         ("trace_hits", Value::Int(s.trace_hits as i64)),
         ("result_hits", Value::Int(s.result_hits as i64)),
+        // Always 0 (see `BatchStats::segments`); the wire schema is
+        // append-only.
         ("segments", u64v(s.segments)),
     ])
 }

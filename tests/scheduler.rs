@@ -3,15 +3,12 @@
 //! The work-stealing schedule is seeded and must be *reproducible*: a
 //! fixed `(schedule, seed)` produces bit-identical traces, statistics
 //! and batch results no matter which simulation engine consumes the
-//! trace, how many worker threads the batch uses, or whether the
-//! phase/bank-sharded unit engine is forced on. And the schedule is a
+//! trace or how many worker threads the batch uses. And the schedule is a
 //! cache axis: jobs that differ only in the steal seed must never
 //! collide into one trace group or be served from one another's cached
 //! results.
 
-use fsr_core::driver::{
-    run_batch_sharded, run_batch_sharded_with_stats, Job, PlanSourceSpec, ShardMode,
-};
+use fsr_core::driver::{run_batch, run_batch_with_stats, Job, PlanSourceSpec};
 use fsr_core::{
     InterconnectKind, PipelineConfig, ProtocolKind, RunResult, Schedule, SimEngine, World,
 };
@@ -20,7 +17,8 @@ use std::sync::Arc;
 
 const WS_SEED: u64 = 0xFEED_FACE;
 
-/// Each protocol on its natural interconnect (mirrors `tests/shard.rs`).
+/// Each protocol on its natural interconnect (directory traffic needs
+/// the home-node fabric for its 2/3-hop costs to be exercised).
 fn backend_pairs() -> [(ProtocolKind, InterconnectKind); 3] {
     [
         (ProtocolKind::Msi, InterconnectKind::Ksr2Ring),
@@ -87,42 +85,30 @@ fn results(out: fsr_core::driver::JobResults<String>) -> Vec<(String, RunResult)
 
 /// Acceptance gate: under a fixed steal seed, every workload × every
 /// protocol backend is bit-identical across the three simulation
-/// engines, across batch worker counts, and with the phase/bank
-/// sharded unit engine forced on.
+/// engines and across batch worker counts.
 #[test]
-fn work_steal_fixed_seed_is_bit_identical_across_engines_and_shards() {
+fn work_steal_fixed_seed_is_bit_identical_across_engines_and_batch_widths() {
     let sched = Schedule::WorkSteal { seed: WS_SEED };
     for w in fsr_workloads::all() {
         for backend in backend_pairs() {
-            let want = results(run_batch_sharded(
+            let want = results(run_batch(
                 sched_jobs(&w, 4, backend, SimEngine::Scalar, sched),
                 1,
-                ShardMode::Off,
             ));
             // Other engines consume the identical schedule.
             for engine in [SimEngine::Soa, SimEngine::SoaChunked] {
-                let got = results(run_batch_sharded(
-                    sched_jobs(&w, 4, backend, engine, sched),
-                    1,
-                    ShardMode::Off,
-                ));
+                let got = results(run_batch(sched_jobs(&w, 4, backend, engine, sched), 1));
                 for ((ctx, a), (_, b)) in want.iter().zip(&got) {
                     assert_same(a, b, &format!("{ctx} vs {engine:?}"));
                 }
             }
-            // The sharded unit engine splits the stolen-schedule trace
-            // at barrier boundaries and must stitch it back exactly.
-            let (out, stats) = run_batch_sharded_with_stats(
+            // A wider worker pool runs the same schedule.
+            let wide = results(run_batch(
                 sched_jobs(&w, 4, backend, SimEngine::Scalar, sched),
                 2,
-                ShardMode::Force(3),
-            );
-            assert!(
-                stats.segments > 0,
-                "forced sharding runs the segment engine"
-            );
-            for ((ctx, a), (_, b)) in want.iter().zip(&results(out)) {
-                assert_same(a, b, &format!("{ctx} sharded"));
+            ));
+            for ((ctx, a), (_, b)) in want.iter().zip(&wide) {
+                assert_same(a, b, &format!("{ctx} on 2 workers"));
             }
         }
     }
@@ -134,7 +120,7 @@ fn work_steal_fixed_seed_is_bit_identical_across_engines_and_shards() {
 fn round_robin_is_the_default_and_never_steals() {
     let w = fsr_workloads::by_name("maxflow").unwrap();
     let backend = backend_pairs()[0];
-    let default_cfg = results(run_batch_sharded(
+    let default_cfg = results(run_batch(
         {
             let src: Arc<str> = Arc::from(w.source);
             vec![Job::new(
@@ -146,12 +132,10 @@ fn round_robin_is_the_default_and_never_steals() {
             )]
         },
         1,
-        ShardMode::Off,
     ));
-    let explicit = results(run_batch_sharded(
+    let explicit = results(run_batch(
         sched_jobs(&w, 4, backend, SimEngine::default(), Schedule::RoundRobin),
         1,
-        ShardMode::Off,
     ));
     assert_same(&default_cfg[0].1, &explicit[0].1, "explicit rr vs default");
     assert_eq!(explicit[0].1.interp.steals, 0, "round-robin never steals");
@@ -186,7 +170,7 @@ fn distinct_seeds_split_trace_groups_same_seed_shares() {
             )
         })
         .collect();
-    let (_, stats) = run_batch_sharded_with_stats(same_seed, 1, ShardMode::Off);
+    let (_, stats) = run_batch_with_stats(same_seed, 1);
     assert_eq!(stats.trace_groups, 1, "same seed shares the trace group");
     assert_eq!(stats.interpretations, 1, "one pass drives both blocks");
 
@@ -199,7 +183,7 @@ fn distinct_seeds_split_trace_groups_same_seed_shares() {
             js
         })
         .collect();
-    let (out, stats) = run_batch_sharded_with_stats(jobs, 1, ShardMode::Off);
+    let (out, stats) = run_batch_with_stats(jobs, 1);
     assert_eq!(
         stats.trace_groups, 2,
         "seeds must not collide into one group"
@@ -232,7 +216,7 @@ fn world_caches_miss_across_seeds_and_hit_within_one() {
             PlanSourceSpec::Unoptimized,
             cfg,
         );
-        let (out, stats) = snapshot.run_batch_sharded_with_stats(vec![job], 1, ShardMode::Off);
+        let (out, stats) = snapshot.run_batch_with_stats(vec![job], 1);
         (results(out).remove(0).1, stats)
     };
 
@@ -270,13 +254,12 @@ proptest! {
             js.truncate(1);
             js.remove(0)
         };
-        let (out, stats) =
-            run_batch_sharded_with_stats(vec![mk(s1), mk(s2)], 1, ShardMode::Off);
+        let (out, stats) = run_batch_with_stats(vec![mk(s1), mk(s2)], 1);
         prop_assert_eq!(stats.trace_groups, 2);
         prop_assert_eq!(stats.interpretations, 2);
         prop_assert_eq!(stats.trace_hits, 0);
         let pair = results(out);
-        let solo = results(run_batch_sharded(vec![mk(s1)], 1, ShardMode::Off));
+        let solo = results(run_batch(vec![mk(s1)], 1));
         assert_same(&pair[0].1, &solo[0].1, "seed rerun reproduces exactly");
     }
 }

@@ -2,18 +2,18 @@
 //! result it serves — to any number of concurrent clients, in any
 //! interleaving, warm or cold — must be bit-identical to what the
 //! one-shot `run_batch` pipeline computes for the same cell. The matrix
-//! is the `tests/shard.rs` acceptance grid: all ten workloads × all
-//! three protocol backends.
+//! is the engine-equivalence acceptance grid of `tests/simd.rs`: all ten
+//! workloads × all three protocol backends.
 
 use fsr_core::driver::{Job, PlanSourceSpec};
 use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, World};
 use fsr_serve::json::Value;
 use fsr_serve::proto::run_result_json;
-use fsr_serve::{serve_tcp_on, Server};
+use fsr_serve::{serve_lines, serve_tcp_on, Output, Server};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const NPROC: i64 = 4;
 const SCALE: i64 = 1;
@@ -198,4 +198,50 @@ fn concurrent_clients_get_bit_identical_results() {
 
     let (_, _) = setup.rpc(r#"{"id": 9, "method": "shutdown"}"#);
     daemon.join().expect("daemon exits");
+}
+
+/// Captures everything the daemon writes.
+#[derive(Clone, Default)]
+struct Captured(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Captured {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A request line nested far past any real message must cost one error
+/// response, not the daemon's stack: the next line is still served.
+#[test]
+fn deeply_nested_line_is_rejected_and_serving_continues() {
+    let input = format!(
+        "{}\n{}\n",
+        "[".repeat(100_000),
+        r#"{"id": 7, "method": "stats"}"#
+    );
+    let captured = Captured::default();
+    serve_lines(
+        &Server::new(),
+        input.as_bytes(),
+        &Output::new(captured.clone()),
+    );
+    let text = String::from_utf8(captured.0.lock().unwrap().clone()).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "one response per request line: {text}");
+    let err = fsr_serve::json::parse(lines[0]).expect("error response is JSON");
+    assert_eq!(err.get("id"), Some(&Value::Null));
+    let msg = err
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .expect("error message");
+    assert!(msg.contains("nesting"), "{msg}");
+    let next = fsr_serve::json::parse(lines[1]).expect("next response is JSON");
+    assert_eq!(next.get("id"), Some(&Value::Int(7)));
+    assert!(next.get("result").is_some(), "stats served: {}", lines[1]);
 }

@@ -5,23 +5,14 @@
 //! path and the chunked lane-parallel replay are *optimizations*, and
 //! these tests pin that they are bit-identical — every counter, every
 //! outcome, every timing statistic — across protocols, interconnects,
-//! workloads, random reference streams, and forced-shard
-//! configurations. Any divergence is a bug in the fast path, never an
-//! acceptable approximation.
+//! workloads and random reference streams. Any divergence is a bug in
+//! the fast path, never an acceptable approximation.
 
-use fsr_core::driver::{run_batch_sharded, Job, PlanSourceSpec, ShardMode};
+use fsr_core::driver::{run_batch, Job, PlanSourceSpec};
 use fsr_core::{CacheConfig, InterconnectKind, PipelineConfig, ProtocolKind, RunResult, SimEngine};
-use fsr_sim::{BankedSim, Outcome, CHUNK_LANES};
+use fsr_sim::{MultiSim, Outcome, CHUNK_LANES};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Serialize tests in this binary: the interpreter-run and segment
-/// counters are process-global, so concurrent tests would perturb each
-/// other's deltas.
-fn gate() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 /// Each protocol on its natural interconnect (directory traffic needs
 /// the home-node fabric for its 2/3-hop costs to be exercised).
@@ -85,8 +76,8 @@ fn workload_jobs(
 }
 
 /// Run one job list and unwrap every result (all jobs here are valid).
-fn run_ok(jobs: Vec<Job<String>>, mode: ShardMode) -> Vec<(String, RunResult)> {
-    run_batch_sharded(jobs, 1, mode)
+fn run_ok(jobs: Vec<Job<String>>) -> Vec<(String, RunResult)> {
+    run_batch(jobs, 1)
         .into_iter()
         .map(|(job, r)| {
             let meta = job.meta.clone();
@@ -97,25 +88,18 @@ fn run_ok(jobs: Vec<Job<String>>, mode: ShardMode) -> Vec<(String, RunResult)> {
 
 /// Acceptance gate: all ten workloads × all three protocol backends;
 /// the SoA and chunked engines reproduce the scalar engine's
-/// `RunResult` bit-for-bit, and the chunked engine composed with
-/// forced phase-parallel sharding (the two batching layers stacked)
-/// still matches.
+/// `RunResult` bit-for-bit.
 #[test]
 fn engines_bit_identical_for_every_workload_and_protocol() {
-    let _g = gate();
     for w in fsr_workloads::all() {
         for backend in backend_pairs() {
             let jobs = |e| workload_jobs(&w, 4, &[128], backend, e);
-            let baseline = run_ok(jobs(SimEngine::Scalar), ShardMode::Off);
+            let baseline = run_ok(jobs(SimEngine::Scalar));
             for engine in [SimEngine::Soa, SimEngine::SoaChunked] {
-                let got = run_ok(jobs(engine), ShardMode::Off);
+                let got = run_ok(jobs(engine));
                 for ((_, want), (meta, got)) in baseline.iter().zip(&got) {
                     assert_same(want, got, meta);
                 }
-            }
-            let sharded = run_ok(jobs(SimEngine::SoaChunked), ShardMode::Force(3));
-            for ((_, want), (meta, got)) in baseline.iter().zip(&sharded) {
-                assert_same(want, got, meta);
             }
         }
     }
@@ -124,29 +108,24 @@ fn engines_bit_identical_for_every_workload_and_protocol() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Random (workload, nproc, block, shard width): every engine, with
-    /// and without forced sharding, reproduces the scalar serial result
-    /// on all three protocol backends at once.
+    /// Random (workload, nproc, block): every engine reproduces the
+    /// scalar result on all three protocol backends at once.
     #[test]
     fn engines_equal_on_random_configs(
         wi in 0usize..10,
         bi in 0usize..4,
         nproc in 2i64..6,
-        shard_threads in 2usize..5,
     ) {
-        let _g = gate();
         let blocks = [16u32, 32, 64, 128];
         let set = fsr_workloads::all();
         let w = &set[wi % set.len()];
         for backend in backend_pairs() {
             let jobs = |e| workload_jobs(w, nproc, &[blocks[bi]], backend, e);
-            let baseline = run_ok(jobs(SimEngine::Scalar), ShardMode::Off);
+            let baseline = run_ok(jobs(SimEngine::Scalar));
             for engine in SimEngine::ALL {
-                for mode in [ShardMode::Off, ShardMode::Force(shard_threads)] {
-                    let got = run_ok(jobs(engine), mode);
-                    for ((_, want), (meta, got)) in baseline.iter().zip(&got) {
-                        assert_same(want, got, &format!("{meta}/{mode:?}"));
-                    }
+                let got = run_ok(jobs(engine));
+                for ((_, want), (meta, got)) in baseline.iter().zip(&got) {
+                    assert_same(want, got, meta);
                 }
             }
         }
@@ -156,7 +135,7 @@ proptest! {
     /// chunked replay — with proptest-chosen ragged chunk boundaries —
     /// and the per-reference SoA path both reproduce the scalar
     /// engine's outcomes, statistics, and global coherence snapshot on
-    /// every protocol and bank count. This is the layer below the
+    /// every protocol. This is the layer below the
     /// pipeline tests: no interpreter, no timing model, just the
     /// coherence engine on adversarial address streams.
     #[test]
@@ -166,12 +145,10 @@ proptest! {
         words in proptest::collection::vec(0u32..4096, 600),
         writes in proptest::collection::vec(0u8..2, 600),
         splits in proptest::collection::vec(1usize..(CHUNK_LANES + 1), 32),
-        bank_pick in 0usize..3,
     ) {
         let trace: Vec<(u8, u32, bool)> = (0..len)
             .map(|i| (pids[i], words[i], writes[i] == 1))
             .collect();
-        let nbanks = [1u32, 2, 4][bank_pick];
         for protocol in [ProtocolKind::Msi, ProtocolKind::Mesi, ProtocolKind::Directory] {
             let cfg = CacheConfig {
                 nproc: 4,
@@ -181,9 +158,9 @@ proptest! {
                 protocol,
             };
             let bound = 4096 * 4;
-            let mut scalar = BankedSim::new(cfg, bound, nbanks);
-            let mut soa = BankedSim::new(cfg, bound, nbanks);
-            let mut chunked = BankedSim::new(cfg, bound, nbanks);
+            let mut scalar = MultiSim::new(cfg, bound);
+            let mut soa = MultiSim::new(cfg, bound);
+            let mut chunked = MultiSim::new(cfg, bound);
 
             let want: Vec<Outcome> = trace
                 .iter()

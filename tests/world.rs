@@ -2,20 +2,12 @@
 //! snapshots, whole-result serving on repeat requests, and *surgical*
 //! invalidation — editing one of N open sources must recompile and
 //! re-interpret only the entries that content touched, observed through
-//! the process-global interpreter-run counter (the `tests/batch.rs`
-//! technique) and through `Arc` pointer identity of the untouched
-//! front ends.
+//! each run's `BatchStats` and through `Arc` pointer identity of the
+//! untouched front ends.
 
-use fsr_core::driver::{Job, PlanSourceSpec, ShardMode};
+use fsr_core::driver::{Job, PlanSourceSpec};
 use fsr_core::{PipelineConfig, World};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Serialize tests in this binary: the interpreter-run counter is
-/// process-global, so concurrent tests would perturb each other's deltas.
-fn gate() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 /// Three distinct little programs — distinct contents, so the world
 /// holds three independent front ends.
@@ -44,7 +36,7 @@ fn run_all(world: &World, docs: &[&str]) -> (Vec<u64>, fsr_core::driver::BatchSt
         .enumerate()
         .map(|(i, name)| job(&snapshot.doc(name).expect("doc open"), i))
         .collect();
-    let (out, stats) = snapshot.run_batch_sharded_with_stats(jobs, 1, ShardMode::Off);
+    let (out, stats) = snapshot.run_batch_with_stats(jobs, 1);
     let cycles = out
         .into_iter()
         .map(|(_, r)| r.expect("clean run").exec_cycles)
@@ -54,7 +46,6 @@ fn run_all(world: &World, docs: &[&str]) -> (Vec<u64>, fsr_core::driver::BatchSt
 
 #[test]
 fn editing_one_source_recompiles_only_that_entry() {
-    let _g = gate();
     let mut world = World::new();
     let docs = ["a", "b", "c"];
     for (i, name) in docs.iter().enumerate() {
@@ -62,24 +53,18 @@ fn editing_one_source_recompiles_only_that_entry() {
     }
 
     // Cold: every doc compiles and interprets once.
-    let before = fsr_interp::runs_started();
     let (cold, stats) = run_all(&world, &docs);
     assert_eq!(stats.front_ends, 3, "three distinct contents compile");
     assert_eq!(stats.interpretations, 3);
-    assert_eq!(fsr_interp::runs_started() - before, 3);
+    assert_eq!(stats.trace_hits, 0, "nothing recorded yet");
 
     // Warm repeat: the whole batch is served from the result cache —
     // zero interpreter passes, zero front-end work, identical results.
-    let before = fsr_interp::runs_started();
     let (warm, stats) = run_all(&world, &docs);
     assert_eq!(stats.result_hits, 3, "all three served whole");
     assert_eq!(stats.front_ends + stats.fe_hits, 0);
-    assert_eq!(stats.interpretations, 0);
-    assert_eq!(
-        fsr_interp::runs_started() - before,
-        0,
-        "no interpreter runs"
-    );
+    assert_eq!(stats.interpretations, 0, "no interpreter runs");
+    assert_eq!(stats.trace_hits, 0, "no trace replays either");
     assert_eq!(cold, warm);
 
     // Hold the untouched front-end Arcs across the edit.
@@ -98,12 +83,11 @@ fn editing_one_source_recompiles_only_that_entry() {
 
     // Re-run all three: only "a" recompiles and re-interprets; "b" and
     // "c" are still whole-result hits backed by the same Arcs.
-    let before = fsr_interp::runs_started();
     let (after_edit, stats) = run_all(&world, &docs);
     assert_eq!(stats.front_ends, 1, "one fresh compile");
     assert_eq!(stats.interpretations, 1, "one fresh interpretation");
     assert_eq!(stats.result_hits, 2, "untouched entries served whole");
-    assert_eq!(fsr_interp::runs_started() - before, 1);
+    assert_eq!(stats.trace_hits, 0, "the edited content has no trace");
     assert_ne!(after_edit[0], cold[0], "edited program really changed");
     assert_eq!(after_edit[1..], cold[1..], "untouched results unchanged");
 
@@ -126,7 +110,6 @@ fn editing_one_source_recompiles_only_that_entry() {
 
 #[test]
 fn reverting_an_edit_is_a_fresh_compile_not_a_hit() {
-    let _g = gate();
     // The cache is keyed by content: an edit away and back evicts on
     // each transition, so the revert recompiles — no stale artifacts
     // from the intermediate content survive it.
@@ -137,16 +120,15 @@ fn reverting_an_edit_is_a_fresh_compile_not_a_hit() {
     run_all(&world, &["a"]);
     let evicted = world.change("a", source(40)).unwrap();
     assert_eq!(evicted.front_ends, 1, "the 99-rep content evicts");
-    let before = fsr_interp::runs_started();
     let (reverted, stats) = run_all(&world, &["a"]);
     assert_eq!(stats.front_ends, 1, "revert recompiles from source");
-    assert_eq!(fsr_interp::runs_started() - before, 1);
+    assert_eq!(stats.interpretations, 1, "revert re-interprets");
+    assert_eq!(stats.trace_hits, 0, "no stale trace survives the edits");
     assert_eq!(reverted, first, "reverted content reproduces old results");
 }
 
 #[test]
 fn two_docs_sharing_content_share_one_front_end() {
-    let _g = gate();
     let mut world = World::new();
     world.open("x", source(50));
     world.open("y", source(50));
