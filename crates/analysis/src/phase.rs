@@ -19,7 +19,7 @@ use std::fmt;
 pub const PHASE_MAX: u32 = u32::MAX;
 
 /// An inclusive range of phase indices a statement may execute in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSpan {
     pub lo: u32,
     pub hi: u32,

@@ -19,30 +19,12 @@
 //!
 //! [`Backend::ABLATION`]: fsr_core::experiments::Backend::ABLATION
 
-use fsr_bench::{Knobs, Table};
+use fsr_bench::{json_str, Knobs, Table};
 use fsr_core::experiments::{directory_ablation, AblationRow};
 use fsr_core::MissKind;
 use std::fmt::Write as _;
 
 const BLOCK: u32 = 128;
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn row_json(r: &AblationRow) -> String {
     let mut s = String::new();

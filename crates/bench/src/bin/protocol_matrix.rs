@@ -9,38 +9,24 @@
 //! `BENCH_protocol_matrix.json` (override the path with
 //! `FSR_BENCH_OUT`).
 //!
+//! With `--golden`, runs the whole matrix as one batch and prints only
+//! the machine-independent per-cell digest (no timings) to stdout,
+//! which `scripts/tier1.sh` diffs against
+//! `tests/golden/protocol_matrix.json` at pinned knobs
+//! (`FSR_NPROC=8 FSR_SCALE=1`).
+//!
 //! Knobs: `FSR_NPROC`, `FSR_SCALE`, `FSR_THREADS` as usual, plus
 //! `FSR_MATRIX_WORKLOADS` (comma-separated names, default
-//! `raytrace,pverify,maxflow,topopt`) and the simulator engine via
-//! `--engine <scalar|soa|soa-chunked>` or `FSR_ENGINE` (default: the
-//! chunked SoA hot path).
+//! `raytrace,pverify,maxflow,topopt`).
 
-use fsr_bench::{Knobs, Table};
-use fsr_core::experiments::{protocol_matrix_cells, MatrixCell, Vsn};
-use fsr_core::{CoherenceEvent, InterconnectKind, MissKind, ProtocolKind, SimEngine};
+use fsr_bench::{json_str, Knobs, Table};
+use fsr_core::experiments::{protocol_matrix, protocol_matrix_cells, MatrixCell, Vsn};
+use fsr_core::{CoherenceEvent, InterconnectKind, MissKind, ProtocolKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 const BLOCK: u32 = 128;
 const DEFAULT_WORKLOADS: &str = "raytrace,pverify,maxflow,topopt";
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn cell_json(c: &MatrixCell) -> String {
     let mut s = String::new();
@@ -100,38 +86,59 @@ fn cell_json(c: &MatrixCell) -> String {
     s
 }
 
-/// The simulator engine: `--engine <name>` wins, then `FSR_ENGINE`,
-/// then the library default (chunked SoA).
-fn engine_from_args() -> SimEngine {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--engine" {
-            let v = args.next().expect("--engine takes a value");
-            return SimEngine::parse(&v)
-                .unwrap_or_else(|| panic!("unknown engine `{v}` (scalar|soa|soa-chunked)"));
-        }
-        if let Some(v) = a.strip_prefix("--engine=") {
-            return SimEngine::parse(v)
-                .unwrap_or_else(|| panic!("unknown engine `{v}` (scalar|soa|soa-chunked)"));
-        }
+/// One machine-independent line per cell: identity plus the execution
+/// time, reference count and miss taxonomy.
+fn cell_digest(c: &MatrixCell) -> String {
+    let mut s = format!(
+        "    {{\"program\": {}, \"version\": {}, \"protocol\": {}, \
+         \"interconnect\": {}, \"exec_cycles\": {}, \"refs\": {}, \"misses\": {{",
+        json_str(&c.program),
+        json_str(&c.version),
+        json_str(&c.protocol),
+        json_str(&c.interconnect),
+        c.exec_cycles,
+        c.sim.refs
+    );
+    for (i, kind) in MissKind::ALL.iter().enumerate() {
+        let _ = write!(
+            s,
+            "{}{}: {}",
+            if i > 0 { ", " } else { "" },
+            json_str(kind.name()),
+            c.sim.miss_of(*kind)
+        );
     }
-    match std::env::var("FSR_ENGINE") {
-        Ok(v) => SimEngine::parse(&v)
-            .unwrap_or_else(|| panic!("unknown FSR_ENGINE `{v}` (scalar|soa|soa-chunked)")),
-        Err(_) => SimEngine::default(),
-    }
+    s.push_str("}}");
+    s
+}
+
+/// Print the per-cell digest of the full matrix, in
+/// program × version × protocol × interconnect order.
+fn print_golden(k: &Knobs, names: &[&str]) {
+    let cells = protocol_matrix(names, &[Vsn::N, Vsn::C], k.nproc, k.scale, BLOCK, k.threads);
+    assert!(!cells.is_empty(), "no workloads matched {names:?}");
+    let digests: Vec<String> = cells.iter().map(cell_digest).collect();
+    print!(
+        "{{\n  \"nproc\": {},\n  \"scale\": {},\n  \"block\": {BLOCK},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        k.nproc,
+        k.scale,
+        digests.join(",\n")
+    );
 }
 
 fn main() {
     let k = Knobs::from_env();
-    let engine = engine_from_args();
     let names_env =
         std::env::var("FSR_MATRIX_WORKLOADS").unwrap_or_else(|_| DEFAULT_WORKLOADS.into());
     let names: Vec<&str> = names_env.split(',').map(str::trim).collect();
     eprintln!(
-        "protocol_matrix: nproc={} scale={} block={} engine={engine} workloads={names:?}",
+        "protocol_matrix: nproc={} scale={} block={} workloads={names:?}",
         k.nproc, k.scale, BLOCK
     );
+    if std::env::args().any(|a| a == "--golden") {
+        print_golden(&k, &names);
+        return;
+    }
 
     // One batch per (protocol, interconnect) backend pair so every
     // pair's wall-clock is measured on its own — the per-cell timing
@@ -148,7 +155,6 @@ fn main() {
                 k.scale,
                 BLOCK,
                 k.threads,
-                engine,
                 &[protocol],
                 &[ic],
             );
@@ -210,13 +216,12 @@ fn main() {
     let body: Vec<String> = cells.iter().map(cell_json).collect();
     let json = format!(
         "{{\n  \"suite\": \"protocol_matrix\",\n  \"nproc\": {},\n  \"scale\": {},\n  \
-         \"block\": {},\n  \"engine\": {},\n  \"protocols\": [{}],\n  \
+         \"block\": {},\n  \"protocols\": [{}],\n  \
          \"interconnects\": [{}],\n  \"workloads\": [{}],\n  \"pair_timings\": [\n{}\n  ],\n  \
          \"cells\": [\n{}\n  ]\n}}\n",
         k.nproc,
         k.scale,
         BLOCK,
-        json_str(engine.name()),
         protos.join(", "),
         nets.join(", "),
         progs.join(", "),

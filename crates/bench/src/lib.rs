@@ -86,6 +86,12 @@ impl Table {
     }
 }
 
+/// A JSON string literal, quoted and escaped, for the bins' hand-written
+/// reports.
+pub fn json_str(s: &str) -> String {
+    format!("\"{}\"", fsr_lang::diag::json_escape(s))
+}
+
 /// Format a speedup pair "s (p)" like the paper's Table 3.
 pub fn fmt_speedup(s: Option<(f64, u32)>) -> String {
     match s {

@@ -611,7 +611,7 @@ fn translate(map: Option<&Vec<u32>>, addr: u32) -> u32 {
 /// Where a unit's event stream comes from: a live interpreter pass, or
 /// a recorded trace a warm [`World`] replays (the trace depends only on
 /// the program, params, run config and driving layout — never on the
-/// protocol, interconnect or engine — so one recording serves every
+/// protocol or interconnect — so one recording serves every
 /// backend combination, exactly like [`crate::record_trace`]).
 #[derive(Clone, Copy)]
 enum UnitSource<'a> {
@@ -620,16 +620,6 @@ enum UnitSource<'a> {
         events: &'a [TraceEvent],
         interp: &'a RunStats,
     },
-}
-
-/// Dispatch one recorded event into a sink.
-fn feed(sink: &mut dyn TraceSink, e: &TraceEvent) {
-    match e {
-        TraceEvent::Access(r) => sink.access(*r),
-        TraceEvent::Sync(pids) => sink.sync(pids),
-        TraceEvent::Handoff { from, to } => sink.handoff(*from, *to),
-        TraceEvent::Steal { thief, victim } => sink.steal(*thief, *victim),
-    }
 }
 
 /// Tee that captures the interpreter's event stream for the trace cache
@@ -836,7 +826,6 @@ fn drive_unit<M>(
                     crate::PipelineSink::new(
                         MultiSim::new(cfg.cache_config(nproc), bound_bytes),
                         TimingModel::new(cfg.machine, nproc),
-                        cfg.engine,
                     )
                 })
                 .collect();
@@ -849,7 +838,7 @@ fn drive_unit<M>(
     let run_out: Result<RunStats, fsr_interp::RuntimeError> = match source {
         UnitSource::Replay { events, interp } => {
             for e in events {
-                feed(&mut tee, e);
+                e.feed(&mut tee);
             }
             Ok(interp.clone())
         }

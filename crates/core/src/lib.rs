@@ -36,7 +36,7 @@ pub use fsr_machine::{
 };
 pub use fsr_sim::{
     report::{ObjCoherence, ObjMisses},
-    CacheConfig, CoherenceEvent, CoherenceProtocol, MissKind, ProtocolKind, SimEngine, SimStats,
+    CacheConfig, CoherenceEvent, CoherenceProtocol, MissKind, ProtocolKind, SimStats,
 };
 pub use fsr_transform::{LayoutPlan, ObjPlan, PlanConfig};
 
@@ -87,9 +87,6 @@ pub struct PipelineConfig {
     pub machine: MachineConfig,
     pub run: RunConfig,
     pub plan_cfg: PlanConfig,
-    /// Simulator hot-path engine (see [`SimEngine`]). Every engine is
-    /// bit-identical; the default is the chunked SoA path.
-    pub engine: SimEngine,
 }
 
 impl Default for PipelineConfig {
@@ -102,7 +99,6 @@ impl Default for PipelineConfig {
             machine: MachineConfig::default(),
             run: RunConfig::default(),
             plan_cfg: PlanConfig::default(),
-            engine: SimEngine::default(),
         }
     }
 }
@@ -122,12 +118,6 @@ impl PipelineConfig {
     pub fn with_backends(mut self, protocol: ProtocolKind, ic: InterconnectKind) -> PipelineConfig {
         self.protocol = protocol;
         self.machine.interconnect = ic;
-        self
-    }
-
-    /// Select the simulator engine, leaving every other knob alone.
-    pub fn with_engine(mut self, engine: SimEngine) -> PipelineConfig {
-        self.engine = engine;
         self
     }
 
@@ -253,7 +243,7 @@ pub fn resolve_nproc(prog: &Program) -> Result<u32, PipelineError> {
     Ok(fsr_analysis::require_nproc(prog)? as u32)
 }
 
-/// Fixed-width lane buffer for the chunked engine: references
+/// Fixed-width lane buffer for the chunked replay: references
 /// accumulate here until [`CHUNK_LANES`] are pending (or a
 /// synchronization event forces a flush), then replay as one batch
 /// through [`MultiSim::access_chunk`] + `TimingModel::record_chunk`.
@@ -287,26 +277,23 @@ struct PipelineSink {
     sim: MultiSim,
     timing: TimingModel,
     block_queue: Vec<u64>,
-    engine: SimEngine,
     chunk: ChunkBuf,
 }
 
 impl PipelineSink {
-    fn new(sim: MultiSim, timing: TimingModel, engine: SimEngine) -> PipelineSink {
+    fn new(sim: MultiSim, timing: TimingModel) -> PipelineSink {
         let nblocks = sim.num_blocks() as usize;
         PipelineSink {
             sim,
             timing,
             block_queue: vec![0; nblocks],
-            engine,
             chunk: ChunkBuf::new(),
         }
     }
 
     /// Replay every buffered reference: one lane-parallel simulator
     /// batch, then one fused timing pass over the outcome stream. A
-    /// no-op when nothing is buffered (and always, on the per-reference
-    /// engines, which never buffer).
+    /// no-op when nothing is buffered.
     fn flush_chunk(&mut self) {
         let PipelineSink {
             sim,
@@ -385,24 +372,16 @@ impl PipelineSink {
 
 impl TraceSink for PipelineSink {
     fn access(&mut self, r: MemRef) {
-        if self.engine.chunked() {
-            let i = self.chunk.len;
-            self.chunk.pid[i] = r.pid;
-            self.chunk.addr[i] = r.addr;
-            self.chunk.gap[i] = r.gap;
-            if r.write {
-                self.chunk.write |= 1 << i;
-            }
-            self.chunk.len = i + 1;
-            if self.chunk.len == CHUNK_LANES {
-                self.flush_chunk();
-            }
-            return;
+        let i = self.chunk.len;
+        self.chunk.pid[i] = r.pid;
+        self.chunk.addr[i] = r.addr;
+        self.chunk.gap[i] = r.gap;
+        if r.write {
+            self.chunk.write |= 1 << i;
         }
-        let outcome = self.sim.access_with(self.engine, r.pid, r.addr, r.write);
-        let cost = self.timing.record(r.pid, r.gap, &outcome);
-        if cost.queue > 0 {
-            self.block_queue[(r.addr / self.sim.block_bytes()) as usize] += cost.queue;
+        self.chunk.len = i + 1;
+        if self.chunk.len == CHUNK_LANES {
+            self.flush_chunk();
         }
     }
 
@@ -478,7 +457,6 @@ pub fn run_pipeline_checked(
     let mut sink = PipelineSink::new(
         MultiSim::new(cfg.cache_config(nproc), layout.total_words() * 4),
         TimingModel::new(cfg.machine, nproc),
-        cfg.engine,
     );
     let fin = fsr_interp::run(prog, &layout, &code, cfg.run, &mut sink)?;
 
@@ -490,104 +468,32 @@ pub fn run_pipeline_checked(
 }
 
 /// A reference trace recorded once through the front half of the
-/// pipeline (parse, plan, lay out, interpret), ready to replay through
-/// [`replay_trace`] any number of times. The trace depends on the
+/// pipeline (parse, plan, lay out, interpret). The trace depends on the
 /// program, its parameters, and the layout plan — never on the
-/// coherence protocol, interconnect, or simulator engine — so one
-/// recording serves every backend and engine combination.
+/// coherence protocol or interconnect — so one recording serves every
+/// backend combination.
 pub struct RecordedTrace {
     pub events: Vec<TraceEvent>,
-    pub nproc: u32,
-    /// Bytes of simulated address space the layout occupies.
-    pub addr_space_bytes: u32,
     pub interp: RunStats,
 }
 
-impl RecordedTrace {
-    /// Memory references in the trace (excluding sync/handoff events).
-    pub fn num_refs(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Access(_)))
-            .count()
-    }
-}
-
 /// Run the front half of the pipeline once and capture the reference
-/// trace instead of simulating it. Pair with [`replay_trace`] to
-/// measure the simulation + timing back half in isolation: the
-/// interpreter's work is identical for every engine, so timing only
-/// the replay isolates exactly the code an engine selection changes
-/// (this is `bench_simd`'s measurement path).
+/// trace instead of simulating it.
 pub fn record_trace(
     prog: &Program,
     plan_source: PlanSource,
     cfg: &PipelineConfig,
 ) -> Result<RecordedTrace, PipelineError> {
-    struct Rec {
-        events: Vec<TraceEvent>,
-    }
-    impl TraceSink for Rec {
-        fn access(&mut self, r: MemRef) {
-            self.events.push(TraceEvent::Access(r));
-        }
-        fn sync(&mut self, pids: &[u32]) {
-            self.events.push(TraceEvent::Sync(pids.to_vec()));
-        }
-        fn handoff(&mut self, from: u32, to: u32) {
-            self.events.push(TraceEvent::Handoff { from, to });
-        }
-        fn steal(&mut self, thief: u32, victim: u32) {
-            self.events.push(TraceEvent::Steal { thief, victim });
-        }
-    }
     let nproc = resolve_nproc(prog)?;
     let plan = plan_of(prog, &plan_source, cfg)?;
     let layout = fsr_layout::Layout::try_build(prog, &plan, nproc)?;
     let code = fsr_interp::compile_program(prog)?;
-    let mut rec = Rec { events: Vec::new() };
+    let mut rec = fsr_interp::RecordedTrace::default();
     let fin = fsr_interp::run(prog, &layout, &code, cfg.run, &mut rec)?;
     Ok(RecordedTrace {
         events: rec.events,
-        nproc,
-        addr_space_bytes: layout.total_words() * 4,
         interp: fin.stats,
     })
-}
-
-/// What one trace replay produced — the backend-dependent half of a
-/// [`RunResult`], for cross-engine equivalence assertions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayResult {
-    pub sim: SimStats,
-    pub exec_cycles: u64,
-    pub fs_stall_frac: f64,
-}
-
-/// Replay a recorded trace through the simulation + timing back half
-/// of the pipeline, exactly as [`run_pipeline`] would have driven it
-/// (same sink path, chunked buffering included), honoring
-/// `cfg`'s protocol, interconnect, and engine selection.
-pub fn replay_trace(trace: &RecordedTrace, cfg: &PipelineConfig) -> ReplayResult {
-    let mut sink = PipelineSink::new(
-        MultiSim::new(cfg.cache_config(trace.nproc), trace.addr_space_bytes),
-        TimingModel::new(cfg.machine, trace.nproc),
-        cfg.engine,
-    );
-    for e in &trace.events {
-        match e {
-            TraceEvent::Access(r) => sink.access(*r),
-            TraceEvent::Sync(pids) => TraceSink::sync(&mut sink, pids),
-            TraceEvent::Handoff { from, to } => TraceSink::handoff(&mut sink, *from, *to),
-            TraceEvent::Steal { thief, victim } => TraceSink::steal(&mut sink, *thief, *victim),
-        }
-    }
-    sink.flush_chunk();
-    ReplayResult {
-        sim: sink.sim.stats().clone(),
-        exec_cycles: sink.timing.finish_time(),
-        fs_stall_frac: sink.timing.false_sharing_stall_fraction(),
-    }
 }
 
 #[cfg(test)]

@@ -158,6 +158,16 @@ impl TraceEvent {
     pub fn kind_name(&self) -> &'static str {
         Self::KIND_NAMES[self.kind_index()]
     }
+
+    /// Deliver this event to `sink` through the matching callback.
+    pub fn feed(&self, sink: &mut dyn TraceSink) {
+        match self {
+            TraceEvent::Access(r) => sink.access(*r),
+            TraceEvent::Sync(pids) => sink.sync(pids),
+            TraceEvent::Handoff { from, to } => sink.handoff(*from, *to),
+            TraceEvent::Steal { thief, victim } => sink.steal(*thief, *victim),
+        }
+    }
 }
 
 /// Sink that records the full event stream for later replay.
@@ -174,12 +184,7 @@ impl RecordedTrace {
     /// Feed the recorded stream into another sink, in original order.
     pub fn replay(&self, sink: &mut dyn TraceSink) {
         for e in &self.events {
-            match e {
-                TraceEvent::Access(r) => sink.access(*r),
-                TraceEvent::Sync(pids) => sink.sync(pids),
-                TraceEvent::Handoff { from, to } => sink.handoff(*from, *to),
-                TraceEvent::Steal { thief, victim } => sink.steal(*thief, *victim),
-            }
+            e.feed(sink);
         }
     }
 }

@@ -38,9 +38,7 @@ use fsr_sim::{MissKind, Outcome};
 /// Which interconnect topology the timing model replays against. A
 /// plain selector enum so machine configurations stay `Copy`; resolved
 /// to a `&'static dyn Interconnect` at model construction.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum InterconnectKind {
     #[default]
     /// KSR2-like two-level ring hierarchy (the paper's machine).
@@ -77,7 +75,7 @@ impl InterconnectKind {
 }
 
 /// Machine parameters (defaults approximate the KSR2).
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// Processors per ring (KSR2: 32 per ring, two rings for 56 procs).
     /// Only the ring topology reads this; the bus has one channel and
@@ -368,7 +366,7 @@ impl Interconnect for HomeDir {
 }
 
 /// Cycle accounting per processor plus stall attribution.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimingStats {
     /// Busy (compute + cache hit) cycles, per processor.
     pub busy: Vec<u64>,
@@ -615,7 +613,7 @@ impl TimingModel {
 }
 
 /// A speedup curve: execution times per processor count.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SpeedupCurve {
     pub points: Vec<(u32, u64)>,
 }

@@ -11,7 +11,7 @@ use crate::json::Value;
 use fsr_core::driver::{BatchStats, PlanSourceSpec};
 use fsr_core::{
     CacheStats, CoherenceEvent, Evicted, InterconnectKind, LayoutPlan, MissKind, ObjPlan,
-    PipelineConfig, PipelineError, Program, ProtocolKind, RunResult, Schedule, SimEngine,
+    PipelineConfig, PipelineError, Program, ProtocolKind, RunResult, Schedule,
 };
 
 /// One parsed request line. `id` is echoed verbatim in the response;
@@ -319,16 +319,37 @@ fn parse_schedule(v: &Value) -> Result<Schedule, String> {
     }
 }
 
+/// The keys a wire `config` object may carry.
+const CONFIG_KEYS: [&str; 8] = [
+    "block",
+    "cache_bytes",
+    "assoc",
+    "protocol",
+    "interconnect",
+    "seed",
+    "max_steps",
+    "schedule",
+];
+
 /// `config` on the wire: a flat object over the pipeline's axes. Every
-/// key is optional; omitted keys take [`PipelineConfig`] defaults.
+/// key is optional; omitted keys take [`PipelineConfig`] defaults. A
+/// key outside [`CONFIG_KEYS`] is an error, not silently ignored.
 ///
 /// ```json
 /// {"block": 128, "cache_bytes": 32768, "assoc": 4,
 ///  "protocol": "msi", "interconnect": "ksr2-ring",
-///  "engine": "soa-chunked", "seed": 1592510158, "max_steps": 2000000000,
+///  "seed": 1592510158, "max_steps": 2000000000,
 ///  "schedule": {"kind": "work_steal", "seed": 7}}
 /// ```
 pub fn parse_config(v: Option<&Value>) -> Result<PipelineConfig, String> {
+    if let Some(fields) = v.and_then(Value::as_obj) {
+        if let Some((k, _)) = fields
+            .iter()
+            .find(|(k, _)| !CONFIG_KEYS.contains(&k.as_str()))
+        {
+            return Err(format!("unknown config key `{k}`"));
+        }
+    }
     let block = match v.and_then(|v| v.get("block")) {
         Some(b) => b.as_i64().ok_or("`block` must be an integer")? as u32,
         None => 128,
@@ -350,10 +371,6 @@ pub fn parse_config(v: Option<&Value>) -> Result<PipelineConfig, String> {
     if let Some(i) = v.get("interconnect") {
         cfg.machine.interconnect =
             parse_interconnect(i.as_str().ok_or("`interconnect` must be a string")?)?;
-    }
-    if let Some(e) = v.get("engine") {
-        let name = e.as_str().ok_or("`engine` must be a string")?;
-        cfg.engine = SimEngine::parse(name).ok_or_else(|| format!("unknown engine `{name}`"))?;
     }
     if let Some(s) = v.get("seed") {
         cfg.run.seed = s.as_i64().ok_or("`seed` must be an integer")? as u64;
@@ -398,7 +415,7 @@ mod tests {
         let v = crate::json::parse(
             r#"{"block": 64, "cache_bytes": 16384, "assoc": 2,
                 "protocol": "directory", "interconnect": "home-dir",
-                "engine": "scalar", "seed": 99, "max_steps": 1000,
+                "seed": 99, "max_steps": 1000,
                 "schedule": {"kind": "work_steal", "seed": 7}}"#,
         )
         .unwrap();
@@ -409,7 +426,6 @@ mod tests {
         assert_eq!(cfg.assoc, 2);
         assert_eq!(cfg.protocol, ProtocolKind::Directory);
         assert_eq!(cfg.machine.interconnect, InterconnectKind::HomeDir);
-        assert_eq!(cfg.engine, SimEngine::Scalar);
         assert_eq!(cfg.run.seed, 99);
         assert_eq!(cfg.run.max_steps, 1000);
         assert_eq!(cfg.run.schedule, Schedule::WorkSteal { seed: 7 });
@@ -420,6 +436,14 @@ mod tests {
         // Unknown names are errors, not silent defaults.
         let bad = crate::json::parse(r#"{"protocol": "moesi"}"#).unwrap();
         assert!(parse_config(Some(&bad)).is_err());
+        // So are unknown keys.
+        for key in ["engine", "blocks"] {
+            let bad = crate::json::parse(&format!(r#"{{"{key}": 1}}"#)).unwrap();
+            assert_eq!(
+                parse_config(Some(&bad)).unwrap_err(),
+                format!("unknown config key `{key}`")
+            );
+        }
     }
 
     #[test]

@@ -53,9 +53,7 @@ pub mod report;
 /// configurations stay `Copy + Eq + Hash` (the batched driver groups
 /// jobs by config); resolved to a `&'static dyn CoherenceProtocol` at
 /// simulator construction.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     #[default]
     /// Write-invalidate MSI — the paper's simulated substrate.
@@ -96,7 +94,7 @@ impl ProtocolKind {
 }
 
 /// Simulator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     pub nproc: u32,
     /// Coherence block size in bytes (power of two, 4..=256 typical).
@@ -136,7 +134,7 @@ impl CacheConfig {
 }
 
 /// Miss cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissKind {
     Cold = 0,
     Replacement = 1,
@@ -169,7 +167,7 @@ impl MissKind {
 /// Coherence event class, for per-object observability. These count
 /// protocol *transactions and their consequences*, not misses: one
 /// upgrade may cause several invalidations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoherenceEvent {
     /// A remote copy was invalidated (by an upgrade or a write miss).
     Invalidation = 0,
@@ -229,7 +227,7 @@ impl Outcome {
 }
 
 /// Aggregate statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     pub refs: u64,
     pub reads: u64,
@@ -444,64 +442,6 @@ pub enum DirState {
     Exclusive,
 }
 
-/// How a simulator replays its reference stream. All three engines
-/// drive the *same* struct-of-arrays state through the *same*
-/// transition body ([`MultiSim::step`]), so results are bit-identical
-/// by construction; they differ only in how much per-reference work
-/// they amortize.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
-pub enum SimEngine {
-    /// One reference at a time through the full transition match — the
-    /// pre-vectorization baseline path.
-    Scalar,
-    /// One reference at a time, but probe-first over the SoA planes:
-    /// the dominant hit cases (read hits, Modified/Exclusive write
-    /// hits) are applied without entering the transition match.
-    Soa,
-    /// Buffer references into fixed-width chunks ([`CHUNK_LANES`]),
-    /// decode all lanes with `fsr-simdlite` array kernels, resolve
-    /// block/set conflicts, apply independent hit lanes in a single
-    /// probe pass with chunk-aggregated counters, and replay the rest
-    /// through [`MultiSim::step`] in lane order. The default engine.
-    #[default]
-    SoaChunked,
-}
-
-impl SimEngine {
-    pub const ALL: [SimEngine; 3] = [SimEngine::Scalar, SimEngine::Soa, SimEngine::SoaChunked];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            SimEngine::Scalar => "scalar",
-            SimEngine::Soa => "soa",
-            SimEngine::SoaChunked => "soa-chunked",
-        }
-    }
-
-    /// Parse a CLI/env spelling of an engine name.
-    pub fn parse(s: &str) -> Option<SimEngine> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(SimEngine::Scalar),
-            "soa" => Some(SimEngine::Soa),
-            "soa-chunked" | "soa_chunked" | "chunked" => Some(SimEngine::SoaChunked),
-            _ => None,
-        }
-    }
-
-    /// Whether this engine replays through the chunked batch path.
-    pub fn chunked(self) -> bool {
-        matches!(self, SimEngine::SoaChunked)
-    }
-}
-
-impl fmt::Display for SimEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Width of one replay chunk: one lane per bit of a `u64` mask, so
 /// write flags, independence masks, and sharer ballots all fit machine
 /// words.
@@ -518,7 +458,7 @@ const NEVER: u64 = 0;
 /// 8-byte LRU stamps — which is what makes the chunked replay's probe
 /// pass cache-friendly. A lane whose `state` is [`LineState::Invalid`]
 /// is empty; its `tag` is left in place on invalidation (see
-/// [`Cache::lose`]), which the chunked engine's conflict argument
+/// [`Cache::lose`]), which the chunked replay's conflict argument
 /// relies on: a stale tag never matches a *different* block, so an
 /// invalidation in one lane cannot change another block's probe.
 struct Cache {
@@ -727,20 +667,19 @@ impl MultiSim {
         self.cfg.block_bytes
     }
 
-    /// Simulate one reference. This is the [`SimEngine::Scalar`] replay
-    /// path: advance the clock, then take the full transition.
+    /// Simulate one reference: advance the clock, then take the full
+    /// transition. [`Self::access_chunk`] must match this lane by lane.
     pub fn access(&mut self, pid: u8, addr: u32, write: bool) -> Outcome {
         self.time += 1;
         self.step(pid, addr, write)
     }
 
-    /// The transition body every engine funnels through: simulate one
-    /// reference at the already-advanced clock `self.time`. The scalar
-    /// engine calls it per reference; the SoA engine only for
-    /// references its probe-first fast path cannot apply; the chunked
-    /// engine for each dependent ("slow") lane, with the clock pinned
-    /// to the lane's serial timestamp. Keeping one body is what makes
-    /// the engines bit-identical.
+    /// The transition body: simulate one reference at the
+    /// already-advanced clock `self.time`. [`Self::access`] calls it per
+    /// reference; [`Self::access_chunk`] for each dependent ("slow")
+    /// lane, with the clock pinned to the lane's serial timestamp.
+    /// Keeping one body is what makes the two entry points
+    /// bit-identical.
     fn step(&mut self, pid: u8, addr: u32, write: bool) -> Outcome {
         let p = pid as usize;
         debug_assert!(p < self.caches.len());
@@ -916,69 +855,15 @@ impl MultiSim {
         c.lru[way] = self.time;
     }
 
-    /// Simulate one reference on the [`SimEngine::Soa`] path: probe the
-    /// SoA planes first and apply the dominant hit cases — read hits in
-    /// any valid state, write hits on Modified, and the silent
-    /// Exclusive→Modified upgrade — without entering the transition
-    /// match. Everything else (misses, Shared-write upgrades) falls
-    /// through to [`Self::step`]. Bit-identical to [`Self::access`].
-    pub fn access_soa(&mut self, pid: u8, addr: u32, write: bool) -> Outcome {
-        self.time += 1;
-        let p = pid as usize;
-        let block = addr >> self.block_shift;
-        if let Some(way) = self.caches[p].find(block) {
-            let st = self.caches[p].state[way];
-            if !write || st == LineState::Modified || st == LineState::Exclusive {
-                let bs = block as usize;
-                self.stats.refs += 1;
-                self.per_block_refs[bs] += 1;
-                self.caches[p].lru[way] = self.time;
-                if write {
-                    self.stats.writes += 1;
-                    if st == LineState::Exclusive {
-                        // Silent upgrade: the only copy, no transaction.
-                        self.caches[p].state[way] = LineState::Modified;
-                        self.stats.exclusive_hits += 1;
-                        self.per_block_events[bs][CoherenceEvent::ExclusiveHit as usize] += 1;
-                    }
-                    let word = bs * self.wpb as usize + ((addr / 4) % self.wpb) as usize;
-                    self.word_write_time[word] = self.time;
-                } else {
-                    self.stats.reads += 1;
-                }
-                return Outcome {
-                    miss: None,
-                    block,
-                    supplier: None,
-                    upgrade: false,
-                    invalidations: 0,
-                };
-            }
-        }
-        self.step(pid, addr, write)
-    }
-
-    /// Simulate one reference on the engine's per-reference path — the
-    /// routing shim the per-reference engines' sinks use.
-    pub fn access_with(&mut self, engine: SimEngine, pid: u8, addr: u32, write: bool) -> Outcome {
-        match engine {
-            SimEngine::Scalar => self.access(pid, addr, write),
-            // The chunked engine's per-reference fallback *is* the SoA
-            // path (chunking only changes how references are batched).
-            SimEngine::Soa | SimEngine::SoaChunked => self.access_soa(pid, addr, write),
-        }
-    }
-
     /// Replay one chunk of up to [`CHUNK_LANES`] references
-    /// lane-parallel ([`SimEngine::SoaChunked`]). Lane `i` carries
-    /// `(pids[i], addrs[i], write_mask bit i)`; `outs[i]` receives its
-    /// outcome. Equivalent to calling [`Self::access`] per lane in lane
+    /// lane-parallel. Lane `i` carries `(pids[i], addrs[i], write_mask
+    /// bit i)`; `outs[i]` receives its outcome. Equivalent to calling [`Self::access`] per lane in lane
     /// order, bit-for-bit (asserted by the equivalence proptests).
     ///
-    /// Strategy: decode all lanes with `fsr-simdlite` array kernels
-    /// (block index, set, word offset — strength-reduced to shifts and
-    /// masks when the geometry is power-of-two), then run one fused in-order pass with
-    /// a set-granular taint rule: a lane is applied fast iff it probes
+    /// Strategy: decode all lanes up front (block index, set, word
+    /// offset — shifts and masks, so the geometry must be
+    /// power-of-two), then run one fused in-order pass with a
+    /// set-granular taint rule: a lane is applied fast iff it probes
     /// as a read hit, Modified-write hit, or Exclusive-write hit AND no
     /// earlier *slow* lane of this chunk touched its cache set. Slow
     /// lanes — misses, Shared-write upgrades, and tainted lanes — are
@@ -1024,7 +909,7 @@ impl MultiSim {
         // reference, bit-identically.
         if !num_sets.is_power_of_two() {
             for i in 0..n {
-                outs[i] = self.access_soa(pids[i], addrs[i], write_mask >> i & 1 == 1);
+                outs[i] = self.access(pids[i], addrs[i], write_mask >> i & 1 == 1);
             }
             return;
         }
@@ -1037,12 +922,11 @@ impl MultiSim {
         let mut block = [0u32; CHUNK_LANES];
         let mut set = [0u32; CHUNK_LANES];
         let mut woff = [0u32; CHUNK_LANES];
-        fsr_simdlite::shr(&mut block[..n], addrs, self.block_shift);
-        fsr_simdlite::and(&mut set[..n], &block[..n], num_sets - 1);
-        {
-            let mut w4 = [0u32; CHUNK_LANES];
-            fsr_simdlite::shr(&mut w4[..n], addrs, 2);
-            fsr_simdlite::and(&mut woff[..n], &w4[..n], self.wpb - 1);
+        let (set_mask, woff_mask) = (num_sets - 1, self.wpb - 1);
+        for (i, &a) in addrs.iter().enumerate() {
+            block[i] = a >> self.block_shift;
+            set[i] = block[i] & set_mask;
+            woff[i] = (a >> 2) & woff_mask;
         }
 
         // Fused in-order pass: probe, apply hits fast with chunk-local
@@ -1123,8 +1007,8 @@ impl MultiSim {
 
 /// Global coherence state of a simulator at one instant: aggregate
 /// counters plus, per block, the presence bitmask, modified or
-/// exclusive owner, and home-directory state. The engine-equivalence
-/// tests compare snapshots of runs replayed on different engines.
+/// exclusive owner, and home-directory state. The chunked-replay
+/// tests compare snapshots of chunked and per-reference runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoherenceSnapshot {
     pub stats: SimStats,
@@ -1533,10 +1417,10 @@ mod tests {
         refs
     }
 
-    /// Replay `stream` on each engine (per-reference for Scalar/Soa,
-    /// chunked with the given chunk sizes for SoaChunked) and assert
-    /// outcomes and every observable counter are bit-identical.
-    fn assert_engines_equivalent(kind: ProtocolKind, chunk_sizes: &[usize]) {
+    /// Replay `stream` per reference and chunked (with the given chunk
+    /// sizes) and assert outcomes and every observable counter are
+    /// bit-identical.
+    fn assert_chunked_matches_access(kind: ProtocolKind, chunk_sizes: &[usize]) {
         let cfg = CacheConfig {
             nproc: 4,
             block_bytes: 64,
@@ -1546,17 +1430,11 @@ mod tests {
         };
         let stream = stress_stream(4);
         let mut scalar = MultiSim::new(cfg, 1 << 14);
-        let mut soa = MultiSim::new(cfg, 1 << 14);
         let mut chunked = MultiSim::new(cfg, 1 << 14);
         let scalar_outs: Vec<Outcome> = stream
             .iter()
             .map(|&(pid, addr, w)| scalar.access(pid, addr, w))
             .collect();
-        let soa_outs: Vec<Outcome> = stream
-            .iter()
-            .map(|&(pid, addr, w)| soa.access_with(SimEngine::Soa, pid, addr, w))
-            .collect();
-        assert_eq!(scalar_outs, soa_outs, "{} soa", kind.name());
         let mut chunk_outs = vec![
             Outcome {
                 miss: None,
@@ -1581,7 +1459,6 @@ mod tests {
             at += n;
         }
         assert_eq!(scalar_outs, chunk_outs, "{} chunked", kind.name());
-        assert_eq!(scalar.snapshot(), soa.snapshot(), "{}", kind.name());
         assert_eq!(scalar.snapshot(), chunked.snapshot(), "{}", kind.name());
         assert_eq!(scalar.per_block_misses(), chunked.per_block_misses());
         assert_eq!(scalar.per_block_events(), chunked.per_block_events());
@@ -1591,14 +1468,14 @@ mod tests {
     #[test]
     fn engines_are_bit_identical_for_every_protocol() {
         for &kind in &ProtocolKind::ALL {
-            assert_engines_equivalent(kind, &[CHUNK_LANES]);
+            assert_chunked_matches_access(kind, &[CHUNK_LANES]);
         }
     }
 
     #[test]
     fn engines_are_bit_identical_with_ragged_chunks() {
         for &kind in &ProtocolKind::ALL {
-            assert_engines_equivalent(kind, &[1, 7, 64, 3, 33]);
+            assert_chunked_matches_access(kind, &[1, 7, 64, 3, 33]);
         }
     }
 
@@ -1637,15 +1514,5 @@ mod tests {
         }
         assert_eq!(a.time, b.time);
         assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn sim_engine_parse_round_trips() {
-        for engine in SimEngine::ALL {
-            assert_eq!(SimEngine::parse(engine.name()), Some(engine));
-        }
-        assert_eq!(SimEngine::parse("chunked"), Some(SimEngine::SoaChunked));
-        assert_eq!(SimEngine::parse("AVX-512"), None);
-        assert_eq!(SimEngine::default(), SimEngine::SoaChunked);
     }
 }

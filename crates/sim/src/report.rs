@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Miss counts for one attributed data structure.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObjMisses {
     pub misses: [u64; MissKind::COUNT],
 }
@@ -24,7 +24,7 @@ impl ObjMisses {
 /// classes come from the simulator; `queue_stall` is filled in by the
 /// timing layer (interconnect queueing cycles spent on this object's
 /// blocks) and is 0 straight out of the simulator.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObjCoherence {
     pub events: [u64; CoherenceEvent::COUNT],
     pub queue_stall: u64,

@@ -2,16 +2,13 @@
 //!
 //! The work-stealing schedule is seeded and must be *reproducible*: a
 //! fixed `(schedule, seed)` produces bit-identical traces, statistics
-//! and batch results no matter which simulation engine consumes the
-//! trace or how many worker threads the batch uses. And the schedule is a
+//! and batch results no matter how many worker threads the batch uses. And the schedule is a
 //! cache axis: jobs that differ only in the steal seed must never
 //! collide into one trace group or be served from one another's cached
 //! results.
 
 use fsr_core::driver::{run_batch, run_batch_with_stats, Job, PlanSourceSpec};
-use fsr_core::{
-    InterconnectKind, PipelineConfig, ProtocolKind, RunResult, Schedule, SimEngine, World,
-};
+use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, RunResult, Schedule, World};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -53,7 +50,6 @@ fn sched_jobs(
     w: &fsr_workloads::Workload,
     nproc: i64,
     backend: (ProtocolKind, InterconnectKind),
-    engine: SimEngine,
     schedule: Schedule,
 ) -> Vec<Job<String>> {
     let src: Arc<str> = Arc::from(w.source);
@@ -61,7 +57,6 @@ fn sched_jobs(
         .into_iter()
         .map(|plan| {
             let mut cfg = PipelineConfig::with_block(128).with_backends(backend.0, backend.1);
-            cfg.engine = engine;
             cfg.run.schedule = schedule;
             Job::new(
                 format!("{}/{:?}/{:?}/{plan:?}", w.name, backend.0, schedule),
@@ -84,29 +79,15 @@ fn results(out: fsr_core::driver::JobResults<String>) -> Vec<(String, RunResult)
 }
 
 /// Acceptance gate: under a fixed steal seed, every workload × every
-/// protocol backend is bit-identical across the three simulation
-/// engines and across batch worker counts.
+/// protocol backend is bit-identical across batch worker counts.
 #[test]
-fn work_steal_fixed_seed_is_bit_identical_across_engines_and_batch_widths() {
+fn work_steal_fixed_seed_is_bit_identical_across_batch_widths() {
     let sched = Schedule::WorkSteal { seed: WS_SEED };
     for w in fsr_workloads::all() {
         for backend in backend_pairs() {
-            let want = results(run_batch(
-                sched_jobs(&w, 4, backend, SimEngine::Scalar, sched),
-                1,
-            ));
-            // Other engines consume the identical schedule.
-            for engine in [SimEngine::Soa, SimEngine::SoaChunked] {
-                let got = results(run_batch(sched_jobs(&w, 4, backend, engine, sched), 1));
-                for ((ctx, a), (_, b)) in want.iter().zip(&got) {
-                    assert_same(a, b, &format!("{ctx} vs {engine:?}"));
-                }
-            }
+            let want = results(run_batch(sched_jobs(&w, 4, backend, sched), 1));
             // A wider worker pool runs the same schedule.
-            let wide = results(run_batch(
-                sched_jobs(&w, 4, backend, SimEngine::Scalar, sched),
-                2,
-            ));
+            let wide = results(run_batch(sched_jobs(&w, 4, backend, sched), 2));
             for ((ctx, a), (_, b)) in want.iter().zip(&wide) {
                 assert_same(a, b, &format!("{ctx} on 2 workers"));
             }
@@ -134,7 +115,7 @@ fn round_robin_is_the_default_and_never_steals() {
         1,
     ));
     let explicit = results(run_batch(
-        sched_jobs(&w, 4, backend, SimEngine::default(), Schedule::RoundRobin),
+        sched_jobs(&w, 4, backend, Schedule::RoundRobin),
         1,
     ));
     assert_same(&default_cfg[0].1, &explicit[0].1, "explicit rr vs default");
@@ -178,7 +159,7 @@ fn distinct_seeds_split_trace_groups_same_seed_shares() {
     let jobs: Vec<Job<String>> = [a, b]
         .into_iter()
         .flat_map(|s| {
-            let mut js = sched_jobs(&w, 4, backend, SimEngine::Scalar, s);
+            let mut js = sched_jobs(&w, 4, backend, s);
             js.truncate(1); // unoptimized only
             js
         })
@@ -249,8 +230,7 @@ proptest! {
         let w = fsr_workloads::by_name("radiosity").unwrap();
         let backend = backend_pairs()[1];
         let mk = |seed| {
-            let mut js = sched_jobs(&w, 3, backend, SimEngine::Scalar,
-                                    Schedule::WorkSteal { seed });
+            let mut js = sched_jobs(&w, 3, backend, Schedule::WorkSteal { seed });
             js.truncate(1);
             js.remove(0)
         };

@@ -2,8 +2,7 @@
 //! result it serves — to any number of concurrent clients, in any
 //! interleaving, warm or cold — must be bit-identical to what the
 //! one-shot `run_batch` pipeline computes for the same cell. The matrix
-//! is the engine-equivalence acceptance grid of `tests/simd.rs`: all ten
-//! workloads × all three protocol backends.
+//! is all ten workloads × all three protocol backends.
 
 use fsr_core::driver::{Job, PlanSourceSpec};
 use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, World};
