@@ -63,22 +63,6 @@ pub fn render(prog: &Program, a: &Analysis) -> String {
     out
 }
 
-/// Render the raw descriptors for one object (debugging aid).
-pub fn render_rsds(prog: &Program, a: &Analysis, name: &str) -> Option<String> {
-    let (oid, _) = prog.object_by_name(name)?;
-    let mut out = String::new();
-    for c in a.classes.iter().filter(|c| c.obj == oid) {
-        writeln!(out, "{} field={:?}", name, c.field).unwrap();
-        for r in &c.write.rsds {
-            writeln!(out, "  W {}", r.render()).unwrap();
-        }
-        for r in &c.read.rsds {
-            writeln!(out, "  R {}", r.render()).unwrap();
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +78,5 @@ mod tests {
         let r = render(&prog, &a);
         assert!(r.contains("per-process"));
         assert!(r.contains('c'));
-        let rsds = render_rsds(&prog, &a, "c").unwrap();
-        assert!(rsds.contains("W ["));
     }
 }

@@ -3,13 +3,14 @@
 //! simulate-many engine.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fsr_core::driver::{run_batch, run_jobs, Job, PlanSourceSpec};
+use fsr_core::driver::{run_batch, run_jobs, Job};
 use fsr_core::PipelineConfig;
+use fsr_core::PlanSource;
 use std::sync::Arc;
 
 const BLOCKS: [u32; 6] = [8, 16, 32, 64, 128, 256];
 
-fn sweep_jobs(src: &Arc<str>, plan: &PlanSourceSpec) -> Vec<Job<u32>> {
+fn sweep_jobs(src: &Arc<str>, plan: &PlanSource) -> Vec<Job<u32>> {
     BLOCKS
         .iter()
         .map(|&b| Job {
@@ -31,8 +32,8 @@ fn block_sweep(c: &mut Criterion) {
         let src: Arc<str> = Arc::from(w.source);
         // Unoptimized: one shared trace across all six block sizes.
         for (label, plan) in [
-            ("unopt", PlanSourceSpec::Unoptimized),
-            ("compiler", PlanSourceSpec::Compiler),
+            ("unopt", PlanSource::Unoptimized),
+            ("compiler", PlanSource::Compiler),
         ] {
             g.bench_function(format!("unbatched/{name}/{label}"), |b| {
                 b.iter(|| run_jobs(sweep_jobs(&src, &plan), 1))

@@ -12,9 +12,9 @@
 //! `FSR_BENCH_OUT`).
 
 use fsr_bench::Knobs;
-use fsr_core::driver::{run_batch_with_stats, run_jobs, Job, JobResults, PlanSourceSpec};
+use fsr_core::driver::{run_batch_with_stats, run_jobs, Job, JobResults};
 use fsr_core::experiments::{
-    figure3, headline_from_rows, plan_spec, table2, Fig3Row, Headline, Table2Row, Vsn,
+    figure3, headline_from_rows, plan_source, table2, Fig3Row, Headline, Table2Row, Vsn,
 };
 use fsr_core::{plan_of, PipelineConfig, PipelineError, PlanSource};
 use fsr_transform::ObjPlan;
@@ -36,7 +36,7 @@ fn fig3_jobs(nproc: i64, scale: i64, blocks: &[u32]) -> Vec<Job<(&'static str, u
                     meta: (w.name, b, v),
                     src: Arc::from(w.source),
                     params: vec![("NPROC".into(), nproc), ("SCALE".into(), scale)],
-                    plan: plan_spec(w, v),
+                    plan: plan_source(w, v),
                     cfg: PipelineConfig::with_block(b),
                 });
             }
@@ -54,20 +54,18 @@ fn table2_jobs(nproc: i64, scale: i64, blocks: &[u32]) -> Vec<Job<(usize, u32, u
     for (wi, w) in fsr_workloads::figure3_set().iter().enumerate() {
         let prog = fsr_lang::compile_with_params(w.source, &[("NPROC", nproc), ("SCALE", scale)])
             .expect("workload compiles");
+        let analysis = Arc::new(fsr_analysis::analyze(&prog).expect("workload analyzes"));
         for &b in blocks {
             let cfg = PipelineConfig::with_block(b);
-            let full = plan_of(&prog, &PlanSource::Compiler, &cfg).expect("plan");
+            let full =
+                plan_of(&prog, &PlanSource::Compiler, &cfg, || Ok(analysis.clone())).expect("plan");
             let cells = [
-                PlanSourceSpec::Unoptimized,
-                PlanSourceSpec::Explicit(full.clone()),
-                PlanSourceSpec::Explicit(
-                    full.retain_kind(|p| matches!(p, ObjPlan::Transpose { .. })),
-                ),
-                PlanSourceSpec::Explicit(
-                    full.retain_kind(|p| matches!(p, ObjPlan::Indirect { .. })),
-                ),
-                PlanSourceSpec::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadElems))),
-                PlanSourceSpec::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadLock))),
+                PlanSource::Unoptimized,
+                PlanSource::Explicit(full.clone()),
+                PlanSource::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::Transpose { .. }))),
+                PlanSource::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::Indirect { .. }))),
+                PlanSource::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadElems))),
+                PlanSource::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadLock))),
             ];
             for (cell, plan) in cells.into_iter().enumerate() {
                 jobs.push(Job {
@@ -106,8 +104,6 @@ fn fig3_unbatched(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> (Ve
                 program: program.to_string(),
                 block,
                 version: version.label().to_string(),
-                protocol: fsr_core::ProtocolKind::Msi.name().to_string(),
-                interconnect: fsr_core::InterconnectKind::Ksr2Ring.name().to_string(),
                 refs: r.sim.refs,
                 fs_miss_rate: r.sim.false_sharing() as f64 / r.sim.refs.max(1) as f64,
                 other_miss_rate: r.sim.other_misses() as f64 / r.sim.refs.max(1) as f64,
@@ -153,8 +149,6 @@ fn table2_unbatched(
         let n = samples.max(1) as f64;
         rows.push(Table2Row {
             program: w.name.to_string(),
-            protocol: fsr_core::ProtocolKind::Msi.name().to_string(),
-            interconnect: fsr_core::InterconnectKind::Ksr2Ring.name().to_string(),
             total_reduction_pct: acc[0] / n,
             transpose_pct: acc[1] / n,
             indirection_pct: acc[2] / n,
@@ -172,8 +166,6 @@ fn same_fig3(a: &[Fig3Row], b: &[Fig3Row]) -> bool {
             x.program == y.program
                 && x.block == y.block
                 && x.version == y.version
-                && x.protocol == y.protocol
-                && x.interconnect == y.interconnect
                 && x.refs == y.refs
                 && x.fs_miss_rate.to_bits() == y.fs_miss_rate.to_bits()
                 && x.other_miss_rate.to_bits() == y.other_miss_rate.to_bits()
@@ -184,8 +176,6 @@ fn same_table2(a: &[Table2Row], b: &[Table2Row]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
             x.program == y.program
-                && x.protocol == y.protocol
-                && x.interconnect == y.interconnect
                 && x.total_reduction_pct.to_bits() == y.total_reduction_pct.to_bits()
                 && x.transpose_pct.to_bits() == y.transpose_pct.to_bits()
                 && x.indirection_pct.to_bits() == y.indirection_pct.to_bits()

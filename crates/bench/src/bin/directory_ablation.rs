@@ -2,9 +2,9 @@
 //! false-sharing *costs* shift when the broadcast-style KSR2 substrate
 //! is replaced by a home-node directory fabric.
 //!
-//! Runs [`fsr_core::experiments::directory_ablation`] — every workload
-//! × {unopt, compiler} × [`Backend::ABLATION`] (MSI + ring, MESI +
-//! ring, directory + home-dir) as one `run_batch` call — prints a
+//! Runs [`fsr_core::experiments::protocol_matrix_cells`] over every
+//! workload × {unopt, compiler} × [`Backend::ABLATION`] (MSI + ring,
+//! MESI + ring, directory + home-dir) as one `run_batch` call — prints a
 //! summary table plus the per-workload false-sharing cost deltas, and
 //! writes the rows as structured JSON to
 //! `BENCH_directory_ablation.json` (override with `FSR_BENCH_OUT`).
@@ -20,13 +20,19 @@
 //! [`Backend::ABLATION`]: fsr_core::experiments::Backend::ABLATION
 
 use fsr_bench::{json_str, Knobs, Table};
-use fsr_core::experiments::{directory_ablation, AblationRow};
+use fsr_core::experiments::{protocol_matrix_cells, Backend, MatrixCell, Vsn};
 use fsr_core::MissKind;
 use std::fmt::Write as _;
 
 const BLOCK: u32 = 128;
 
-fn row_json(r: &AblationRow) -> String {
+/// Stall cycles charged to false-sharing misses: the per-workload
+/// false-sharing *cost*, which does shift per backend.
+fn fs_stall(r: &MatrixCell) -> u64 {
+    r.timing.stall_by_kind[MissKind::FalseSharing as usize]
+}
+
+fn row_json(r: &MatrixCell) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
@@ -45,7 +51,7 @@ fn row_json(r: &AblationRow) -> String {
             "{}{}: {}",
             if i > 0 { ", " } else { "" },
             json_str(k.name()),
-            r.misses[*k as usize]
+            r.sim.misses[*k as usize]
         );
     }
     let _ = write!(
@@ -53,15 +59,15 @@ fn row_json(r: &AblationRow) -> String {
         "}},\n     \"upgrades\": {}, \"invalidations\": {}, \"dir_txns\": {},\n     \
          \"exec_cycles\": {}, \"fs_stall\": {}, \"queue_stall\": {},\n     \
          \"two_hop\": {}, \"three_hop\": {}, \"max_channel_busy\": {}}}",
-        r.upgrades,
-        r.invalidations,
-        r.dir_txns,
+        r.sim.upgrades,
+        r.sim.invalidations,
+        r.sim.dir_txns,
         r.exec_cycles,
-        r.fs_stall,
-        r.queue_stall,
-        r.two_hop,
-        r.three_hop,
-        r.max_channel_busy,
+        fs_stall(r),
+        r.timing.total_queue(),
+        r.timing.two_hop,
+        r.timing.three_hop,
+        r.timing.max_channel_busy(),
     );
     s
 }
@@ -79,7 +85,15 @@ fn main() {
         k.nproc, k.scale, BLOCK
     );
 
-    let rows = directory_ablation(&names, k.nproc, k.scale, BLOCK, k.threads);
+    let rows = protocol_matrix_cells(
+        &names,
+        &[Vsn::N, Vsn::C],
+        k.nproc,
+        k.scale,
+        BLOCK,
+        k.threads,
+        &Backend::ABLATION,
+    );
     assert!(!rows.is_empty(), "no workloads matched {names:?}");
 
     let mut t = Table::new(&[
@@ -92,13 +106,13 @@ fn main() {
             r.version.clone(),
             r.protocol.clone(),
             r.interconnect.clone(),
-            r.misses[MissKind::FalseSharing as usize].to_string(),
-            r.fs_stall.to_string(),
+            r.sim.misses[MissKind::FalseSharing as usize].to_string(),
+            fs_stall(r).to_string(),
             r.exec_cycles.to_string(),
-            r.dir_txns.to_string(),
-            r.three_hop.to_string(),
-            r.queue_stall.to_string(),
-            r.max_channel_busy.to_string(),
+            r.sim.dir_txns.to_string(),
+            r.timing.three_hop.to_string(),
+            r.timing.total_queue().to_string(),
+            r.timing.max_channel_busy().to_string(),
         ]);
     }
     println!("{}", t.render());
@@ -128,11 +142,11 @@ fn main() {
         };
         println!(
             "  {name:>10}: dir {:>10} vs msi {:>10} ({:+6.1}%) vs mesi {:>10} ({:+6.1}%)",
-            dir.fs_stall,
-            msi.fs_stall,
-            pct(dir.fs_stall, msi.fs_stall),
-            mesi.fs_stall,
-            pct(dir.fs_stall, mesi.fs_stall),
+            fs_stall(dir),
+            fs_stall(msi),
+            pct(fs_stall(dir), fs_stall(msi)),
+            fs_stall(mesi),
+            pct(fs_stall(dir), fs_stall(mesi)),
         );
     }
 

@@ -20,7 +20,7 @@
 //! `raytrace,pverify,maxflow,topopt`).
 
 use fsr_bench::{json_str, Knobs, Table};
-use fsr_core::experiments::{protocol_matrix, protocol_matrix_cells, MatrixCell, Vsn};
+use fsr_core::experiments::{protocol_matrix, protocol_matrix_cells, Backend, MatrixCell, Vsn};
 use fsr_core::{CoherenceEvent, InterconnectKind, MissKind, ProtocolKind};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -42,7 +42,7 @@ fn cell_json(c: &MatrixCell) -> String {
         c.block,
         c.nproc,
         c.exec_cycles,
-        c.queue_stall,
+        c.timing.total_queue(),
         c.sim.refs,
         c.sim.reads,
         c.sim.writes,
@@ -155,8 +155,7 @@ fn main() {
                 k.scale,
                 BLOCK,
                 k.threads,
-                &[protocol],
-                &[ic],
+                &[Backend::new(protocol, ic)],
             );
             pair_walls.push((protocol, ic, start.elapsed().as_secs_f64()));
             cells.extend(pair_cells);
@@ -174,7 +173,7 @@ fn main() {
             c.protocol.clone(),
             c.interconnect.clone(),
             c.exec_cycles.to_string(),
-            c.queue_stall.to_string(),
+            c.timing.total_queue().to_string(),
             c.sim.invalidations.to_string(),
             c.sim.upgrades.to_string(),
             c.sim.interventions.to_string(),

@@ -18,7 +18,8 @@
 //! Knobs: `FSR_NPROC`, `FSR_SCALE` as usual.
 
 use fsr_bench::{Knobs, Table};
-use fsr_core::driver::{run_batch, Job, PlanSourceSpec};
+use fsr_core::driver::{run_batch, Job};
+use fsr_core::PlanSource;
 use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, RunResult, Schedule};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -49,7 +50,7 @@ fn run_cell(
         format!("{}/{:?}/{schedule:?}", w.name, backend.0),
         w.source,
         &[("NPROC", k.nproc), ("SCALE", k.scale)],
-        PlanSourceSpec::Unoptimized,
+        PlanSource::Unoptimized,
         cell_cfg(backend, schedule),
     );
     let mut out = run_batch(vec![job], 1);

@@ -31,8 +31,8 @@
 //! banks never measured faster than this serial path (DESIGN.md §9).
 
 use crate::world::{CachedTrace, Caches, FeKey, FrontEnd, RunCounters, World};
-use crate::{run_pipeline, PipelineConfig, PipelineError, PlanSource, RunResult};
-use fsr_interp::{MemRef, RunStats, TeeSink, TraceEvent, TraceSink};
+use crate::{plan_of, run_pipeline, PipelineConfig, PipelineError, PlanSource, RunResult};
+use fsr_interp::{MemRef, RunStats, RuntimeError, TeeSink, TraceSink};
 use fsr_lang::ast::WORD_BYTES;
 use fsr_layout::Layout;
 use fsr_machine::TimingModel;
@@ -56,7 +56,7 @@ pub struct Job<M = ()> {
     pub meta: M,
     pub src: Arc<str>,
     pub params: Vec<(String, i64)>,
-    pub plan: PlanSourceSpec,
+    pub plan: PlanSource,
     pub cfg: PipelineConfig,
 }
 
@@ -65,7 +65,7 @@ impl<M> Job<M> {
         meta: M,
         src: impl Into<Arc<str>>,
         params: &[(&str, i64)],
-        plan: PlanSourceSpec,
+        plan: PlanSource,
         cfg: PipelineConfig,
     ) -> Job<M> {
         Job {
@@ -74,26 +74,6 @@ impl<M> Job<M> {
             params: params.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
             plan,
             cfg,
-        }
-    }
-}
-
-/// Cloneable plan-source description (function pointers are fine).
-#[derive(Debug, Clone)]
-pub enum PlanSourceSpec {
-    Unoptimized,
-    Compiler,
-    Programmer(fn(&crate::Program, u32) -> crate::LayoutPlan),
-    Explicit(crate::LayoutPlan),
-}
-
-impl From<&PlanSourceSpec> for PlanSource {
-    fn from(s: &PlanSourceSpec) -> PlanSource {
-        match s {
-            PlanSourceSpec::Unoptimized => PlanSource::Unoptimized,
-            PlanSourceSpec::Compiler => PlanSource::Compiler,
-            PlanSourceSpec::Programmer(f) => PlanSource::Programmer(*f),
-            PlanSourceSpec::Explicit(p) => PlanSource::Explicit(p.clone()),
         }
     }
 }
@@ -237,7 +217,7 @@ pub type BatchNotify<'a> = &'a (dyn Fn(usize, &Result<RunResult, PipelineError>)
 pub fn run_jobs<M: Sync + fmt::Debug>(jobs: Vec<Job<M>>, threads: usize) -> JobResults<M> {
     let results = parallel_map(&jobs, threads, |job: &Job<M>| {
         let params: Vec<(&str, i64)> = job.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        run_pipeline(&job.src, &params, (&job.plan).into(), &job.cfg)
+        run_pipeline(&job.src, &params, job.plan.clone(), &job.cfg)
     });
     let results: Vec<Result<RunResult, PipelineError>> = results
         .into_iter()
@@ -331,8 +311,10 @@ pub fn run_batch_with_stats<M: Sync + fmt::Debug>(
 /// consult and feed the result and trace caches.
 ///
 /// `notify`, when given, fires once per job with its final result, from
-/// whichever worker resolved it: result-cache hits immediately (in
-/// submission order), prepare failures as soon as phase B settles, and
+/// whichever worker resolved it: invalid-config jobs first (in
+/// submission order, before any result-cache probe), then result-cache
+/// hits (in submission order), prepare failures as soon as phase B
+/// settles, and
 /// engine-run jobs the moment their translation unit finishes — this is
 /// how `fsr-serve` streams per-cell results before the batch completes.
 pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
@@ -357,13 +339,27 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
     };
     let mut slots: Vec<Option<Result<RunResult, PipelineError>>> = (0..n).map(|_| None).collect();
 
+    // Config check — a job the simulator cannot run resolves here as
+    // `PipelineError::Config`, before it probes any cache; its siblings
+    // carry on.
+    for (j, job) in jobs.iter().enumerate() {
+        if let Err(e) = job.cfg.validate() {
+            let r = Err(PipelineError::Config(e));
+            notify_one(j, &r);
+            slots[j] = Some(r);
+        }
+    }
+
     // Phase R — whole-result probe (persistent worlds only): a job
     // identical to one served before (same source content, params, plan
-    // spec and full config) is answered from the result cache without
+    // source and full config) is answered from the result cache without
     // entering the engine at all.
     let mut rkeys: Vec<Option<ResultKey>> = (0..n).map(|_| None).collect();
     if caches.cache_results {
         for (j, job) in jobs.iter().enumerate() {
+            if slots[j].is_some() {
+                continue;
+            }
             let key: ResultKey = (
                 (job.src.clone(), job.params.clone()),
                 format!("{:?}", job.plan),
@@ -401,7 +397,7 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
             fe_needs_analysis.push(false);
             fe_rep.push(j);
         }
-        if matches!(job.plan, PlanSourceSpec::Compiler) {
+        if matches!(job.plan, PlanSource::Compiler) {
             fe_needs_analysis[id] = true;
         }
         fe_of_job[j] = id;
@@ -433,21 +429,7 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
             .as_ref()
             .map_err(PipelineError::clone)?;
         let job = &jobs[j];
-        let plan = match &job.plan {
-            PlanSourceSpec::Unoptimized => crate::LayoutPlan::unoptimized(job.cfg.block_bytes),
-            PlanSourceSpec::Compiler => {
-                let analysis = fe.analysis()?;
-                let mut plan_cfg = job.cfg.plan_cfg;
-                plan_cfg.block_bytes = job.cfg.block_bytes;
-                fsr_transform::plan_for(&fe.prog, &analysis, &plan_cfg)
-            }
-            PlanSourceSpec::Programmer(f) => f(&fe.prog, job.cfg.block_bytes),
-            PlanSourceSpec::Explicit(p) => {
-                let mut p = p.clone();
-                p.block_bytes = job.cfg.block_bytes;
-                p
-            }
-        };
+        let plan = plan_of(&fe.prog, &job.plan, &job.cfg, || fe.analysis())?;
         let layout = Layout::try_build(&fe.prog, &plan, fe.nproc)?;
         let fingerprint = layout.trace_fingerprint();
         Ok(Prep {
@@ -582,7 +564,7 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
 }
 
 /// Result-cache key: front-end key plus the `Debug` renderings of the
-/// plan spec and the full pipeline config (exhaustive over every knob,
+/// plan source and the full pipeline config (exhaustive over every knob,
 /// so equal keys mean identical jobs).
 type ResultKey = (FeKey, String, String);
 
@@ -605,49 +587,6 @@ fn translate(map: Option<&Vec<u32>>, addr: u32) -> u32 {
             debug_assert_ne!(w, u32::MAX, "resolvable addresses are always mapped");
             w * WORD_BYTES
         }
-    }
-}
-
-/// Where a unit's event stream comes from: a live interpreter pass, or
-/// a recorded trace a warm [`World`] replays (the trace depends only on
-/// the program, params, run config and driving layout — never on the
-/// protocol or interconnect — so one recording serves every
-/// backend combination, exactly like [`crate::record_trace`]).
-#[derive(Clone, Copy)]
-enum UnitSource<'a> {
-    Interp,
-    Replay {
-        events: &'a [TraceEvent],
-        interp: &'a RunStats,
-    },
-}
-
-/// Tee that captures the interpreter's event stream for the trace cache
-/// while forwarding it unchanged to the real consumer.
-struct RecordingSink<'a> {
-    events: &'a mut Vec<TraceEvent>,
-    inner: &'a mut dyn TraceSink,
-}
-
-impl TraceSink for RecordingSink<'_> {
-    fn access(&mut self, r: MemRef) {
-        self.events.push(TraceEvent::Access(r));
-        self.inner.access(r);
-    }
-
-    fn sync(&mut self, pids: &[u32]) {
-        self.events.push(TraceEvent::Sync(pids.to_vec()));
-        self.inner.sync(pids);
-    }
-
-    fn handoff(&mut self, from: u32, to: u32) {
-        self.events.push(TraceEvent::Handoff { from, to });
-        self.inner.handoff(from, to);
-    }
-
-    fn steal(&mut self, thief: u32, victim: u32) {
-        self.events.push(TraceEvent::Steal { thief, victim });
-        self.inner.steal(thief, victim);
     }
 }
 
@@ -696,10 +635,14 @@ fn run_unit<M: Sync + fmt::Debug>(
     // Trace cache (persistent worlds): this unit's reference trace is
     // keyed by (source content, params, run config, driving-layout
     // fingerprint); a hit — confirmed exact with `trace_eq` — replays
-    // the recording instead of re-running the interpreter.
+    // the recording instead of re-running the interpreter. On a miss a
+    // persistent world records the trace for later requests and replays
+    // it like a hit; a transient one interprets straight into the
+    // simulators.
+    let run = jobs[rep].cfg.run;
     let tkey = (
         (jobs[rep].src.clone(), jobs[rep].params.clone()),
-        jobs[rep].cfg.run,
+        run,
         prep_of(preps, rep).fingerprint,
     );
     let cached = if caches.cache_traces {
@@ -707,34 +650,33 @@ fn run_unit<M: Sync + fmt::Debug>(
     } else {
         None
     };
-    let (source, record) = match &cached {
+    let trace = match cached {
         Some(ct) => {
             rc.trace_hits.fetch_add(1, Ordering::Relaxed);
-            (
-                UnitSource::Replay {
-                    events: &ct.events,
-                    interp: &ct.interp,
-                },
-                false,
-            )
+            Ok(Some(ct))
         }
         None => {
             rc.interpretations.fetch_add(1, Ordering::Relaxed);
-            (UnitSource::Interp, caches.cache_traces)
+            if caches.cache_traces {
+                CachedTrace::record(fe, rep_layout, run).map(|ct| {
+                    let ct = Arc::new(ct);
+                    caches.trace_put(tkey, ct.clone());
+                    Some(ct)
+                })
+            } else {
+                Ok(None)
+            }
         }
     };
 
-    let (mut out, recorded) = drive_unit(jobs, fe, rep, preps, live, source, record);
-    if let Some((events, interp)) = recorded {
-        caches.trace_put(
-            tkey,
-            CachedTrace {
-                events: Arc::new(events),
-                interp,
-                layout: rep_layout.clone(),
-            },
-        );
-    }
+    let mut out = drive_unit(
+        jobs,
+        fe,
+        rep,
+        preps,
+        live,
+        trace.as_ref().map(Option::as_deref),
+    );
     out.append(&mut failed);
     out
 }
@@ -792,26 +734,17 @@ fn group_bound_bytes(preps: &[Option<Result<Prep, PipelineError>>], group: &[usi
         * WORD_BYTES
 }
 
-/// A unit's per-job results, plus the recorded event stream and
-/// interpreter statistics when the world's trace cache asked for them.
-type UnitOutput = (
-    Vec<(usize, Result<RunResult, PipelineError>)>,
-    Option<(Vec<TraceEvent>, RunStats)>,
-);
-
-/// The interpreter (or the trace replay) drives a [`TeeSink`] of group
-/// sinks in one thread. When `record` is set, the interpreter's event
-/// stream is captured and returned alongside the results for the
-/// world's trace cache.
+/// The interpreter (or the replay of a recorded trace, when `trace`
+/// holds one) drives a [`TeeSink`] of group sinks in one thread. A
+/// failed recording fails every member job, like a failed pass.
 fn drive_unit<M>(
     jobs: &[Job<M>],
     fe: &FrontEnd,
     rep: usize,
     preps: &[Option<Result<Prep, PipelineError>>],
     live: Vec<(&Vec<usize>, Option<Vec<u32>>)>,
-    source: UnitSource<'_>,
-    record: bool,
-) -> UnitOutput {
+    trace: Result<Option<&CachedTrace>, &RuntimeError>,
+) -> Vec<(usize, Result<RunResult, PipelineError>)> {
     let nproc = fe.nproc;
     let rep_layout = &prep_of(preps, rep).layout;
     let members: Vec<&Vec<usize>> = live.iter().map(|(g, _)| *g).collect();
@@ -833,62 +766,45 @@ fn drive_unit<M>(
         })
         .collect();
     let mut tee = TeeSink::new(group_sinks);
-    let mut recorded: Vec<TraceEvent> = Vec::new();
 
-    let run_out: Result<RunStats, fsr_interp::RuntimeError> = match source {
-        UnitSource::Replay { events, interp } => {
-            for e in events {
+    let run_out: Result<RunStats, RuntimeError> = match trace {
+        Err(e) => Err(e.clone()),
+        Ok(Some(ct)) => {
+            for e in &ct.events {
                 e.feed(&mut tee);
             }
-            Ok(interp.clone())
+            Ok(ct.interp.clone())
         }
-        UnitSource::Interp if record => {
-            let mut rec = RecordingSink {
-                events: &mut recorded,
-                inner: &mut tee,
-            };
-            fsr_interp::run(&fe.prog, rep_layout, &fe.code, jobs[rep].cfg.run, &mut rec)
-                .map(|fin| fin.stats)
-        }
-        UnitSource::Interp => {
-            fsr_interp::run(&fe.prog, rep_layout, &fe.code, jobs[rep].cfg.run, &mut tee)
-                .map(|fin| fin.stats)
-        }
+        Ok(None) => fsr_interp::run(&fe.prog, rep_layout, &fe.code, jobs[rep].cfg.run, &mut tee)
+            .map(|fin| fin.stats),
     };
 
     match run_out {
-        Err(e) => (
-            members
-                .iter()
-                .flat_map(|g| g.iter())
-                .map(|&j| (j, Err(PipelineError::Runtime(e.clone()))))
-                .collect(),
-            None,
-        ),
-        Ok(stats) => {
-            let out = tee
-                .into_inner()
-                .into_iter()
-                .zip(members)
-                .flat_map(|(gs, group)| {
-                    gs.sinks
-                        .into_iter()
-                        .zip(group)
-                        .map(|(sink, &j)| {
-                            let prep = prep_of(preps, j);
-                            let r =
-                                sink.into_result(nproc, prep.plan.clone(), stats.clone(), |addr| {
-                                    prep.layout
-                                        .attribute(addr)
-                                        .map(|oid| fe.prog.object(oid).name.clone())
-                                });
-                            (j, Ok(r))
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            (out, record.then_some((recorded, stats)))
-        }
+        Err(e) => members
+            .iter()
+            .flat_map(|g| g.iter())
+            .map(|&j| (j, Err(PipelineError::Runtime(e.clone()))))
+            .collect(),
+        Ok(stats) => tee
+            .into_inner()
+            .into_iter()
+            .zip(members)
+            .flat_map(|(gs, group)| {
+                gs.sinks
+                    .into_iter()
+                    .zip(group)
+                    .map(|(sink, &j)| {
+                        let prep = prep_of(preps, j);
+                        let r = sink.into_result(nproc, prep.plan.clone(), stats.clone(), |addr| {
+                            prep.layout
+                                .attribute(addr)
+                                .map(|oid| fe.prog.object(oid).name.clone())
+                        });
+                        (j, Ok(r))
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect(),
     }
 }
 
@@ -907,7 +823,7 @@ mod tests {
                 meta: b,
                 src: Arc::from(COUNTERS),
                 params: vec![],
-                plan: PlanSourceSpec::Unoptimized,
+                plan: PlanSource::Unoptimized,
                 cfg: PipelineConfig::with_block(b),
             })
             .collect()
@@ -935,7 +851,7 @@ mod tests {
             meta: (),
             src: Arc::from("fn main() {"),
             params: vec![],
-            plan: PlanSourceSpec::Unoptimized,
+            plan: PlanSource::Unoptimized,
             cfg: PipelineConfig::default(),
         }];
         let out = run_jobs(jobs, 1);
@@ -985,7 +901,7 @@ mod tests {
                 meta: 999,
                 src: Arc::from(COUNTERS),
                 params: vec![],
-                plan: PlanSourceSpec::Programmer(|_, _| panic!("plan exploded deliberately")),
+                plan: PlanSource::Programmer(|_, _| panic!("plan exploded deliberately")),
                 cfg: PipelineConfig::with_block(64),
             },
         );
@@ -1016,12 +932,43 @@ mod tests {
     }
 
     #[test]
+    fn invalid_configs_fail_alone_before_the_engine() {
+        let bad = [
+            PipelineConfig::with_block(3),
+            PipelineConfig::with_block(0),
+            PipelineConfig {
+                assoc: 0,
+                ..PipelineConfig::default()
+            },
+        ];
+        for cfg in bad {
+            let want = cfg.validate().unwrap_err();
+            let mut jobs = block_jobs(&[64]);
+            jobs.push(Job {
+                cfg,
+                ..jobs[0].clone()
+            });
+            let (out, stats) = run_batch_with_stats(jobs, 1);
+            assert!(out[0].1.is_ok(), "good sibling runs");
+            assert!(
+                matches!(&out[1].1, Err(PipelineError::Config(e)) if *e == want),
+                "{want}: {:?}",
+                out[1].1
+            );
+            assert_eq!(
+                stats.trace_groups, 1,
+                "the bad job never entered the engine"
+            );
+        }
+    }
+
+    #[test]
     fn batch_splits_groups_when_layouts_differ() {
         // Compiler plans pad/transpose by block size: distinct traces.
         let jobs: Vec<Job<u32>> = [32u32, 128]
             .iter()
             .flat_map(|&b| {
-                [PlanSourceSpec::Unoptimized, PlanSourceSpec::Compiler]
+                [PlanSource::Unoptimized, PlanSource::Compiler]
                     .into_iter()
                     .map(move |plan| Job {
                         meta: b,
@@ -1061,7 +1008,7 @@ mod tests {
                 meta: (),
                 src: Arc::from("fn main() {"),
                 params: vec![],
-                plan: PlanSourceSpec::Unoptimized,
+                plan: PlanSource::Unoptimized,
                 cfg: PipelineConfig::default(),
             })
             .collect();
@@ -1082,7 +1029,7 @@ mod tests {
                 meta: b,
                 src: Arc::from(src),
                 params: vec![],
-                plan: PlanSourceSpec::Unoptimized,
+                plan: PlanSource::Unoptimized,
                 cfg: PipelineConfig::with_block(b),
             })
             .collect();

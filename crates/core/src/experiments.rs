@@ -10,19 +10,22 @@
 //!   ring machine model, per program version.
 //! - [`headline`]: the §5 aggregate claims (share of misses that are
 //!   false sharing, fraction eliminated, change in other misses).
+//! - [`protocol_matrix_cells`]: one backend grid (workload × version ×
+//!   [`Backend`]) behind both [`protocol_matrix`] and the directory
+//!   ablation.
 //!
-//! All generators enqueue their full grid as one [`run_batch`] call, so
+//! The paper's experiments run on [`Backend::default`]. All generators enqueue their full grid as one [`run_batch`] call, so
 //! front ends are compiled once per (program, params) and configurations
 //! with address-identical layouts — e.g. the unoptimized baseline across
 //! every block size — share a single interpretation (the paper's own
 //! trace-once, simulate-many methodology).
 
-use crate::driver::{run_batch, Job, PlanSourceSpec};
+use crate::driver::{run_batch, Job};
 use crate::{
-    run_pipeline, InterconnectKind, MissKind, ObjCoherence, PipelineConfig, PipelineError,
-    PlanSource, ProtocolKind, RunResult, SimStats,
+    plan_of, run_pipeline, InterconnectKind, ObjCoherence, PipelineConfig, PipelineError,
+    PlanSource, ProtocolKind, SimStats,
 };
-use fsr_machine::SpeedupCurve;
+use fsr_machine::{SpeedupCurve, TimingStats};
 use fsr_transform::ObjPlan;
 use fsr_workloads::{Version, Workload};
 use std::collections::HashMap;
@@ -46,9 +49,10 @@ impl Vsn {
     }
 }
 
-/// The simulator/timing backend an experiment grid runs against — the
-/// protocol/interconnect axis every generator now carries (previously
-/// `figure3`/`table2` were hard-wired to MSI + KSR2 ring).
+/// The simulator/timing backend an experiment grid runs against: one
+/// (coherence protocol, interconnect) pair. The paper's figures and
+/// tables run on [`Backend::default`]; the backend grids
+/// ([`protocol_matrix_cells`]) take an explicit list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Backend {
     pub protocol: ProtocolKind,
@@ -97,37 +101,14 @@ pub fn plan_source(w: &Workload, v: Vsn) -> PlanSource {
     }
 }
 
-/// Driver-level plan spec for a workload version.
-pub fn plan_spec(w: &Workload, v: Vsn) -> PlanSourceSpec {
-    match v {
-        Vsn::N => PlanSourceSpec::Unoptimized,
-        Vsn::C => PlanSourceSpec::Compiler,
-        Vsn::P => match w.programmer_plan {
-            Some(f) => PlanSourceSpec::Programmer(f),
-            None => PlanSourceSpec::Unoptimized,
-        },
-    }
+/// [`plan_source`] under its older name. It stays only because the
+/// `perfbench/` benchmark package calls it.
+pub fn plan_spec(w: &Workload, v: Vsn) -> PlanSource {
+    plan_source(w, v)
 }
 
 fn std_params(nproc: i64, scale: i64) -> Vec<(String, i64)> {
     vec![("NPROC".to_string(), nproc), ("SCALE".to_string(), scale)]
-}
-
-/// Run one workload version at a given processor count, scale and block.
-pub fn run_workload(
-    w: &Workload,
-    v: Vsn,
-    nproc: i64,
-    scale: i64,
-    block: u32,
-) -> Result<RunResult, PipelineError> {
-    let cfg = PipelineConfig::with_block(block);
-    run_pipeline(
-        w.source,
-        &[("NPROC", nproc), ("SCALE", scale)],
-        plan_source(w, v),
-        &cfg,
-    )
 }
 
 /// One Figure 3 bar: miss rates split into false-sharing and other.
@@ -136,10 +117,6 @@ pub struct Fig3Row {
     pub program: String,
     pub block: u32,
     pub version: String,
-    /// Coherence protocol the row was simulated under.
-    pub protocol: String,
-    /// Interconnect the row was timed against.
-    pub interconnect: String,
     pub refs: u64,
     pub fs_miss_rate: f64,
     pub other_miss_rate: f64,
@@ -155,17 +132,6 @@ struct Fig3Meta {
 /// Figure 3: the six N+C programs at the given block sizes (paper: 16
 /// and 128 bytes, 12 processors), on the paper's MSI + ring substrate.
 pub fn figure3(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> Vec<Fig3Row> {
-    figure3_on(Backend::default(), nproc, scale, blocks, threads)
-}
-
-/// [`figure3`] on an explicit backend.
-pub fn figure3_on(
-    backend: Backend,
-    nproc: i64,
-    scale: i64,
-    blocks: &[u32],
-    threads: usize,
-) -> Vec<Fig3Row> {
     let set = fsr_workloads::figure3_set();
     let mut jobs = Vec::new();
     for w in &set {
@@ -180,8 +146,8 @@ pub fn figure3_on(
                     },
                     src: src.clone(),
                     params: std_params(nproc, scale),
-                    plan: plan_spec(w, v),
-                    cfg: backend.config(b),
+                    plan: plan_source(w, v),
+                    cfg: PipelineConfig::with_block(b),
                 });
             }
         }
@@ -194,8 +160,6 @@ pub fn figure3_on(
                 program: job.meta.program.to_string(),
                 block: job.meta.block,
                 version: job.meta.version.label().to_string(),
-                protocol: backend.protocol.name().to_string(),
-                interconnect: backend.interconnect.name().to_string(),
                 refs: r.sim.refs,
                 fs_miss_rate: r.sim.false_sharing() as f64 / r.sim.refs.max(1) as f64,
                 other_miss_rate: r.sim.other_misses() as f64 / r.sim.refs.max(1) as f64,
@@ -209,10 +173,6 @@ pub fn figure3_on(
 #[derive(Debug, Clone)]
 pub struct Table2Row {
     pub program: String,
-    /// Coherence protocol the ablation was simulated under.
-    pub protocol: String,
-    /// Interconnect the ablation was timed against.
-    pub interconnect: String,
     /// Total reduction with the full plan, percent of baseline FS misses.
     pub total_reduction_pct: f64,
     /// Reduction with only group&transpose directives, etc.
@@ -245,37 +205,22 @@ pub fn table2(
     blocks: &[u32],
     threads: usize,
 ) -> Result<Vec<Table2Row>, PipelineError> {
-    table2_on(Backend::default(), nproc, scale, blocks, threads)
-}
-
-/// [`table2`] on an explicit backend.
-pub fn table2_on(
-    backend: Backend,
-    nproc: i64,
-    scale: i64,
-    blocks: &[u32],
-    threads: usize,
-) -> Result<Vec<Table2Row>, PipelineError> {
     let set = fsr_workloads::figure3_set();
     let mut jobs: Vec<Job<T2Meta>> = Vec::new();
     for (wi, w) in set.iter().enumerate() {
         let src: Arc<str> = Arc::from(w.source);
         let prog = fsr_lang::compile_with_params(w.source, &[("NPROC", nproc), ("SCALE", scale)])?;
-        let analysis = fsr_analysis::analyze(&prog)?;
+        let analysis = Arc::new(fsr_analysis::analyze(&prog)?);
         for &b in blocks {
-            let cfg = backend.config(b);
-            let full = fsr_transform::plan_for(&prog, &analysis, &cfg.plan_cfg);
+            let cfg = PipelineConfig::with_block(b);
+            let full = plan_of(&prog, &PlanSource::Compiler, &cfg, || Ok(analysis.clone()))?;
             let cells = [
-                PlanSourceSpec::Unoptimized,
-                PlanSourceSpec::Explicit(full.clone()),
-                PlanSourceSpec::Explicit(
-                    full.retain_kind(|p| matches!(p, ObjPlan::Transpose { .. })),
-                ),
-                PlanSourceSpec::Explicit(
-                    full.retain_kind(|p| matches!(p, ObjPlan::Indirect { .. })),
-                ),
-                PlanSourceSpec::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadElems))),
-                PlanSourceSpec::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadLock))),
+                PlanSource::Unoptimized,
+                PlanSource::Explicit(full.clone()),
+                PlanSource::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::Transpose { .. }))),
+                PlanSource::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::Indirect { .. }))),
+                PlanSource::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadElems))),
+                PlanSource::Explicit(full.retain_kind(|p| matches!(p, ObjPlan::PadLock))),
             ];
             for (cell, plan) in cells.into_iter().enumerate() {
                 jobs.push(Job {
@@ -330,8 +275,6 @@ pub fn table2_on(
         let n = samples.max(1) as f64;
         rows.push(Table2Row {
             program: w.name.to_string(),
-            protocol: backend.protocol.name().to_string(),
-            interconnect: backend.interconnect.name().to_string(),
             total_reduction_pct: acc[0] / n,
             transpose_pct: acc[1] / n,
             indirection_pct: acc[2] / n,
@@ -354,19 +297,6 @@ pub fn speedup_sweep(
     block: u32,
     threads: usize,
 ) -> SpeedupCurve {
-    speedup_sweep_on(Backend::default(), w, v, procs, scale, block, threads)
-}
-
-/// [`speedup_sweep`] on an explicit backend.
-pub fn speedup_sweep_on(
-    backend: Backend,
-    w: &Workload,
-    v: Vsn,
-    procs: &[u32],
-    scale: i64,
-    block: u32,
-    threads: usize,
-) -> SpeedupCurve {
     let src: Arc<str> = Arc::from(w.source);
     let jobs: Vec<Job<u32>> = procs
         .iter()
@@ -374,8 +304,8 @@ pub fn speedup_sweep_on(
             meta: p,
             src: src.clone(),
             params: std_params(p as i64, scale),
-            plan: plan_spec(w, v),
-            cfg: backend.config(block),
+            plan: plan_source(w, v),
+            cfg: PipelineConfig::with_block(block),
         })
         .collect();
     let mut curve = SpeedupCurve::default();
@@ -390,7 +320,13 @@ pub fn speedup_sweep_on(
 /// The uniprocessor execution time of the unoptimized version — the
 /// baseline every speedup in Figure 4 / Table 3 is relative to.
 pub fn t1_unoptimized(w: &Workload, scale: i64, block: u32) -> Result<u64, PipelineError> {
-    Ok(run_workload(w, Vsn::N, 1, scale, block)?.exec_cycles)
+    let r = run_pipeline(
+        w.source,
+        &[("NPROC", 1), ("SCALE", scale)],
+        PlanSource::Unoptimized,
+        &PipelineConfig::with_block(block),
+    )?;
+    Ok(r.exec_cycles)
 }
 
 /// One Table 3 row.
@@ -416,17 +352,6 @@ struct T3Meta {
 /// Table 3 for all ten programs, as one batch over every (program,
 /// version, #procs) point plus the per-program baselines.
 pub fn table3(procs: &[u32], scale: i64, block: u32, threads: usize) -> Vec<Table3Row> {
-    table3_on(Backend::default(), procs, scale, block, threads)
-}
-
-/// [`table3`] on an explicit backend.
-pub fn table3_on(
-    backend: Backend,
-    procs: &[u32],
-    scale: i64,
-    block: u32,
-    threads: usize,
-) -> Vec<Table3Row> {
     let all = fsr_workloads::all();
     let mut jobs: Vec<Job<T3Meta>> = Vec::new();
     for (wi, w) in all.iter().enumerate() {
@@ -440,8 +365,8 @@ pub fn table3_on(
             },
             src: src.clone(),
             params: std_params(1, scale),
-            plan: plan_spec(w, Vsn::N),
-            cfg: backend.config(block),
+            plan: plan_source(w, Vsn::N),
+            cfg: PipelineConfig::with_block(block),
         });
         let mut versions = vec![Vsn::C];
         if w.has(Version::Unoptimized) {
@@ -461,8 +386,8 @@ pub fn table3_on(
                     },
                     src: src.clone(),
                     params: std_params(p as i64, scale),
-                    plan: plan_spec(w, v),
-                    cfg: backend.config(block),
+                    plan: plan_source(w, v),
+                    cfg: PipelineConfig::with_block(block),
                 });
             }
         }
@@ -546,7 +471,7 @@ pub fn headline(nproc: i64, scale: i64, block: u32, threads: usize) -> Headline 
     headline_from_rows(&figure3(nproc, scale, &[block], threads), block)
 }
 
-/// One cell of the backend matrix: a (program, version, protocol,
+/// One cell of a backend grid: a (program, version, protocol,
 /// interconnect) run with its coherence-event observability.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell {
@@ -558,8 +483,9 @@ pub struct MatrixCell {
     pub nproc: u32,
     pub sim: SimStats,
     pub exec_cycles: u64,
-    /// Total interconnect queueing stall cycles.
-    pub queue_stall: u64,
+    /// The machine model's cost counters (stalls by miss kind, queueing,
+    /// 2/3-hop split, channel occupancy).
+    pub timing: TimingStats,
     /// Per-object coherence events + queue stalls, via the layout map.
     pub per_obj: Vec<(String, ObjCoherence)>,
 }
@@ -568,17 +494,11 @@ pub struct MatrixCell {
 struct MxMeta {
     prog_idx: usize,
     version: Vsn,
-    protocol: ProtocolKind,
-    ic: InterconnectKind,
+    backend: Backend,
 }
 
 /// Cross-backend sweep: every workload × version × coherence protocol ×
 /// interconnect, one cell each, as a single [`run_batch`] call.
-///
-/// The batch groups by (front end, run config, layout fingerprint) —
-/// protocol and interconnect are simulator/timing state, not trace
-/// state — so all backend variants of one program version share a
-/// single interpretation, exactly like a block-size sweep does.
 pub fn protocol_matrix(
     programs: &[&str],
     versions: &[Vsn],
@@ -587,21 +507,22 @@ pub fn protocol_matrix(
     block: u32,
     threads: usize,
 ) -> Vec<MatrixCell> {
-    protocol_matrix_cells(
-        programs,
-        versions,
-        nproc,
-        scale,
-        block,
-        threads,
-        &ProtocolKind::ALL,
-        &InterconnectKind::ALL,
-    )
+    let backends: Vec<Backend> = ProtocolKind::ALL
+        .into_iter()
+        .flat_map(|p| InterconnectKind::ALL.map(|ic| Backend::new(p, ic)))
+        .collect();
+    protocol_matrix_cells(programs, versions, nproc, scale, block, threads, &backends)
 }
 
-/// [`protocol_matrix`] over an explicit (protocol, interconnect)
-/// subset — the unit the matrix bench times per backend pair.
-#[allow(clippy::too_many_arguments)]
+/// A backend grid: every listed workload × version × backend, in that
+/// order, as one [`run_batch`] call. [`protocol_matrix`] runs it over
+/// every (protocol, interconnect) pair, the directory ablation over
+/// [`Backend::ABLATION`].
+///
+/// The batch groups by (front end, run config, layout fingerprint) —
+/// protocol and interconnect are simulator/timing state, not trace
+/// state — so all backend variants of one program version share a
+/// single interpretation, exactly like a block-size sweep does.
 pub fn protocol_matrix_cells(
     programs: &[&str],
     versions: &[Vsn],
@@ -609,8 +530,7 @@ pub fn protocol_matrix_cells(
     scale: i64,
     block: u32,
     threads: usize,
-    protocols: &[ProtocolKind],
-    interconnects: &[InterconnectKind],
+    backends: &[Backend],
 ) -> Vec<MatrixCell> {
     let set: Vec<_> = programs
         .iter()
@@ -620,21 +540,18 @@ pub fn protocol_matrix_cells(
     for (wi, w) in set.iter().enumerate() {
         let src: Arc<str> = Arc::from(w.source);
         for &v in versions {
-            for &protocol in protocols {
-                for &ic in interconnects {
-                    jobs.push(Job {
-                        meta: MxMeta {
-                            prog_idx: wi,
-                            version: v,
-                            protocol,
-                            ic,
-                        },
-                        src: src.clone(),
-                        params: std_params(nproc, scale),
-                        plan: plan_spec(w, v),
-                        cfg: PipelineConfig::with_block(block).with_backends(protocol, ic),
-                    });
-                }
+            for &backend in backends {
+                jobs.push(Job {
+                    meta: MxMeta {
+                        prog_idx: wi,
+                        version: v,
+                        backend,
+                    },
+                    src: src.clone(),
+                    params: std_params(nproc, scale),
+                    plan: plan_source(w, v),
+                    cfg: backend.config(block),
+                });
             }
         }
     }
@@ -645,115 +562,14 @@ pub fn protocol_matrix_cells(
             Some(MatrixCell {
                 program: set[job.meta.prog_idx].name.to_string(),
                 version: job.meta.version.label().to_string(),
-                protocol: job.meta.protocol.name().to_string(),
-                interconnect: job.meta.ic.name().to_string(),
-                block,
-                nproc: r.nproc,
-                queue_stall: r.timing.total_queue(),
-                exec_cycles: r.exec_cycles,
-                sim: r.sim,
-                per_obj: r.per_obj_coherence.into_iter().collect(),
-            })
-        })
-        .collect()
-}
-
-/// One cell of the directory ablation: a (program, version, backend)
-/// run reduced to the miss taxonomy and the cost counters that differ
-/// across coherence substrates.
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    pub program: String,
-    pub version: String,
-    pub protocol: String,
-    pub interconnect: String,
-    pub block: u32,
-    pub nproc: u32,
-    /// Miss counts by kind (cold, replacement, true-, false-sharing) —
-    /// identical across the backends by the protocol-invariance
-    /// property; committed so the golden diff proves it.
-    pub misses: [u64; MissKind::COUNT],
-    pub upgrades: u64,
-    pub invalidations: u64,
-    /// Home-directory transactions (0 under the snooping backends).
-    pub dir_txns: u64,
-    pub exec_cycles: u64,
-    /// Stall cycles attributed to false-sharing misses — the per-
-    /// workload false-sharing *cost*, which does shift per backend.
-    pub fs_stall: u64,
-    /// Total interconnect queueing stall.
-    pub queue_stall: u64,
-    /// 2-hop / 3-hop directory transaction split (0 under snooping).
-    pub two_hop: u64,
-    pub three_hop: u64,
-    /// Occupancy cycles of the busiest channel (hottest home node under
-    /// the directory fabric, busiest ring under the KSR2).
-    pub max_channel_busy: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct AblMeta {
-    prog_idx: usize,
-    version: Vsn,
-    backend: Backend,
-}
-
-/// The directory ablation: every listed workload × {unopt, compiler} ×
-/// [`Backend::ABLATION`], one [`run_batch`] call. The unopt-vs-compiler
-/// pair shows how much of each backend's cost the paper's
-/// transformations recover; the backend axis shows how the *same*
-/// misses are charged by broadcast vs directory substrates.
-pub fn directory_ablation(
-    programs: &[&str],
-    nproc: i64,
-    scale: i64,
-    block: u32,
-    threads: usize,
-) -> Vec<AblationRow> {
-    let set: Vec<_> = programs
-        .iter()
-        .filter_map(|n| fsr_workloads::by_name(n))
-        .collect();
-    let mut jobs: Vec<Job<AblMeta>> = Vec::new();
-    for (wi, w) in set.iter().enumerate() {
-        let src: Arc<str> = Arc::from(w.source);
-        for v in [Vsn::N, Vsn::C] {
-            for backend in Backend::ABLATION {
-                jobs.push(Job {
-                    meta: AblMeta {
-                        prog_idx: wi,
-                        version: v,
-                        backend,
-                    },
-                    src: src.clone(),
-                    params: std_params(nproc, scale),
-                    plan: plan_spec(w, v),
-                    cfg: backend.config(block),
-                });
-            }
-        }
-    }
-    run_batch(jobs, threads)
-        .into_iter()
-        .filter_map(|(job, r)| {
-            let r = r.ok()?;
-            Some(AblationRow {
-                program: set[job.meta.prog_idx].name.to_string(),
-                version: job.meta.version.label().to_string(),
                 protocol: job.meta.backend.protocol.name().to_string(),
                 interconnect: job.meta.backend.interconnect.name().to_string(),
                 block,
                 nproc: r.nproc,
-                misses: r.sim.misses,
-                upgrades: r.sim.upgrades,
-                invalidations: r.sim.invalidations,
-                dir_txns: r.sim.dir_txns,
                 exec_cycles: r.exec_cycles,
-                fs_stall: r.timing.stall_by_kind[MissKind::FalseSharing as usize],
-                queue_stall: r.timing.total_queue(),
-                two_hop: r.timing.two_hop,
-                three_hop: r.timing.three_hop,
-                max_channel_busy: r.timing.max_channel_busy(),
+                timing: r.timing,
+                sim: r.sim,
+                per_obj: r.per_obj_coherence.into_iter().collect(),
             })
         })
         .collect()

@@ -40,14 +40,17 @@ pub use fsr_sim::{
 };
 pub use fsr_transform::{LayoutPlan, ObjPlan, PlanConfig};
 
-use fsr_interp::{MemRef, RunStats, TraceEvent, TraceSink};
+use fsr_interp::{MemRef, RunStats, TraceSink};
 use fsr_machine::TimingModel;
 use fsr_sim::{MultiSim, Outcome, CHUNK_LANES};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-/// Where the layout plan comes from.
-#[derive(Clone)]
+/// Where the layout plan comes from. The derived `Debug` prints every
+/// payload (an explicit plan's directives included), so the world's
+/// result cache keys distinct plans apart by their rendering.
+#[derive(Debug, Clone)]
 pub enum PlanSource {
     /// Original declaration-order packed layout ("N" versions).
     Unoptimized,
@@ -58,18 +61,6 @@ pub enum PlanSource {
     Programmer(fn(&Program, u32) -> LayoutPlan),
     /// An explicit plan (ablation studies).
     Explicit(LayoutPlan),
-}
-
-impl fmt::Debug for PlanSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            PlanSource::Unoptimized => "Unoptimized",
-            PlanSource::Compiler => "Compiler",
-            PlanSource::Programmer(_) => "Programmer",
-            PlanSource::Explicit(_) => "Explicit",
-        };
-        write!(f, "{s}")
-    }
 }
 
 /// Everything configurable about one pipeline run.
@@ -121,6 +112,21 @@ impl PipelineConfig {
         self
     }
 
+    /// Reject a configuration the simulator cannot represent: the
+    /// block size must be a power of two of at least one word, and a
+    /// cache needs at least one way. Every entry point that runs a
+    /// configuration checks it here first, so a bad one is an error
+    /// instead of a simulator assert or a division by zero.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !self.block_bytes.is_power_of_two() || self.block_bytes < 4 {
+            return Err(ConfigError::BlockBytes(self.block_bytes));
+        }
+        if self.assoc == 0 {
+            return Err(ConfigError::ZeroAssoc);
+        }
+        Ok(())
+    }
+
     /// The cache simulator's configuration for an `nproc`-processor run.
     pub(crate) fn cache_config(&self, nproc: u32) -> CacheConfig {
         CacheConfig {
@@ -132,6 +138,26 @@ impl PipelineConfig {
         }
     }
 }
+
+/// A [`PipelineConfig`] that [`PipelineConfig::validate`] rejects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// Block size that is not a power of two, or smaller than 4 bytes.
+    BlockBytes(u32),
+    /// Associativity 0: a cache needs at least one way.
+    ZeroAssoc,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::BlockBytes(b) => write!(f, "block size {b} is not a power of two >= 4"),
+            ConfigError::ZeroAssoc => write!(f, "associativity must be at least 1"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Result of one pipeline run. `Clone` lets a warm [`World`] serve a
 /// cached result to any number of identical requests.
@@ -189,6 +215,8 @@ pub enum PipelineError {
     /// The driver machinery itself failed (worker panic, batch grouping
     /// bug) — see [`driver::DriverError`].
     Driver(driver::DriverError),
+    /// The job's configuration is invalid (see [`PipelineConfig::validate`]).
+    Config(ConfigError),
 }
 
 impl fmt::Display for PipelineError {
@@ -199,6 +227,7 @@ impl fmt::Display for PipelineError {
             PipelineError::Layout(e) => write!(f, "{e}"),
             PipelineError::Nproc(e) => write!(f, "{e}"),
             PipelineError::Driver(e) => write!(f, "{e}"),
+            PipelineError::Config(e) => write!(f, "{e}"),
         }
     }
 }
@@ -405,16 +434,19 @@ impl TraceSink for PipelineSink {
     }
 }
 
-/// Build the layout plan for a checked program.
+/// Build the layout plan for a checked program. `analysis` is only
+/// called for [`PlanSource::Compiler`], so callers holding a memoized
+/// analysis pass it in and the other plan sources never compute one.
 pub fn plan_of(
     prog: &Program,
     source: &PlanSource,
     cfg: &PipelineConfig,
+    analysis: impl FnOnce() -> Result<Arc<Analysis>, PipelineError>,
 ) -> Result<LayoutPlan, PipelineError> {
     Ok(match source {
         PlanSource::Unoptimized => LayoutPlan::unoptimized(cfg.block_bytes),
         PlanSource::Compiler => {
-            let analysis = fsr_analysis::analyze(prog)?;
+            let analysis = analysis()?;
             let mut plan_cfg = cfg.plan_cfg;
             plan_cfg.block_bytes = cfg.block_bytes;
             fsr_transform::plan_for(prog, &analysis, &plan_cfg)
@@ -449,8 +481,11 @@ pub fn run_pipeline_checked(
     plan_source: PlanSource,
     cfg: &PipelineConfig,
 ) -> Result<RunResult, PipelineError> {
+    cfg.validate().map_err(PipelineError::Config)?;
     let nproc = resolve_nproc(prog)?;
-    let plan = plan_of(prog, &plan_source, cfg)?;
+    let plan = plan_of(prog, &plan_source, cfg, || {
+        Ok(Arc::new(fsr_analysis::analyze(prog)?))
+    })?;
     let layout = fsr_layout::Layout::try_build(prog, &plan, nproc)?;
     let code = fsr_interp::compile_program(prog)?;
 
@@ -465,35 +500,6 @@ pub fn run_pipeline_checked(
             .attribute(addr)
             .map(|oid| prog.object(oid).name.clone())
     }))
-}
-
-/// A reference trace recorded once through the front half of the
-/// pipeline (parse, plan, lay out, interpret). The trace depends on the
-/// program, its parameters, and the layout plan — never on the
-/// coherence protocol or interconnect — so one recording serves every
-/// backend combination.
-pub struct RecordedTrace {
-    pub events: Vec<TraceEvent>,
-    pub interp: RunStats,
-}
-
-/// Run the front half of the pipeline once and capture the reference
-/// trace instead of simulating it.
-pub fn record_trace(
-    prog: &Program,
-    plan_source: PlanSource,
-    cfg: &PipelineConfig,
-) -> Result<RecordedTrace, PipelineError> {
-    let nproc = resolve_nproc(prog)?;
-    let plan = plan_of(prog, &plan_source, cfg)?;
-    let layout = fsr_layout::Layout::try_build(prog, &plan, nproc)?;
-    let code = fsr_interp::compile_program(prog)?;
-    let mut rec = fsr_interp::RecordedTrace::default();
-    let fin = fsr_interp::run(prog, &layout, &code, cfg.run, &mut rec)?;
-    Ok(RecordedTrace {
-        events: rec.events,
-        interp: fin.stats,
-    })
 }
 
 #[cfg(test)]
@@ -583,6 +589,22 @@ mod tests {
             e,
             PipelineError::Nproc(fsr_analysis::NprocError::OutOfRange(100))
         ));
+    }
+
+    #[test]
+    fn invalid_configs_are_errors_not_panics() {
+        let mut cfg = PipelineConfig::with_block(48);
+        let e = run_pipeline(COUNTERS, &[], PlanSource::Unoptimized, &cfg).unwrap_err();
+        assert!(matches!(
+            e,
+            PipelineError::Config(ConfigError::BlockBytes(48))
+        ));
+        cfg = PipelineConfig {
+            assoc: 0,
+            ..PipelineConfig::default()
+        };
+        let e = run_pipeline(COUNTERS, &[], PlanSource::Unoptimized, &cfg).unwrap_err();
+        assert!(matches!(e, PipelineError::Config(ConfigError::ZeroAssoc)));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use crate::driver::{self, BatchStats, Job, JobResults};
 use crate::{PipelineError, RunResult};
-use fsr_interp::{RunConfig, RunStats, TraceEvent};
+use fsr_interp::{RunConfig, RunStats, RuntimeError, TraceEvent};
 use fsr_lang::ast::{ElemTy, FieldId, ObjectKind};
 use fsr_lang::diag::Diagnostics;
 use fsr_layout::Layout;
@@ -198,13 +198,35 @@ pub fn refine_facts_from(
 /// layout (kept so a fingerprint match is confirmed exactly with
 /// [`Layout::trace_eq`] before the recording is reused).
 pub(crate) struct CachedTrace {
-    pub events: Arc<Vec<TraceEvent>>,
+    pub events: Vec<TraceEvent>,
     pub interp: RunStats,
     pub layout: Layout,
 }
 
+impl CachedTrace {
+    /// Interpret `fe` once under `layout`, keeping the event stream —
+    /// the one recorder behind both the batch driver's trace cache and
+    /// the refined lint.
+    pub(crate) fn record(
+        fe: &FrontEnd,
+        layout: &Layout,
+        run: RunConfig,
+    ) -> Result<CachedTrace, RuntimeError> {
+        let mut rec = fsr_interp::RecordedTrace::default();
+        let fin = fsr_interp::run(&fe.prog, layout, &fe.code, run, &mut rec)?;
+        // The recording outlives the request in the trace cache; drop
+        // the growth slack rather than keep it resident.
+        rec.events.shrink_to_fit();
+        Ok(CachedTrace {
+            events: rec.events,
+            interp: fin.stats,
+            layout: layout.clone(),
+        })
+    }
+}
+
 type TraceKey = (FeKey, RunConfig, u64);
-/// (front-end key, plan spec description, pipeline config description).
+/// (front-end key, plan source description, pipeline config description).
 /// The descriptions are the `Debug` renderings — exhaustive over every
 /// knob, so two keys are equal iff the jobs are identical.
 type ResultKey = (FeKey, String, String);
@@ -337,25 +359,17 @@ impl Caches {
             let plan = crate::LayoutPlan::unoptimized(cfg.block_bytes);
             let layout = Layout::try_build(&fe.prog, &plan, fe.nproc)?;
             let tkey: TraceKey = (fe_key, cfg.run, layout.trace_fingerprint());
-            let events = match self.trace_get(&tkey, &layout) {
-                Some(ct) => ct.events.clone(),
+            let trace = match self.trace_get(&tkey, &layout) {
+                Some(ct) => ct,
                 None => {
-                    let rec = crate::record_trace(&fe.prog, crate::PlanSource::Unoptimized, &cfg)?;
-                    let events = Arc::new(rec.events);
+                    let ct = Arc::new(CachedTrace::record(&fe, &layout, cfg.run)?);
                     if self.cache_traces {
-                        self.trace_put(
-                            tkey,
-                            CachedTrace {
-                                events: events.clone(),
-                                interp: rec.interp,
-                                layout: layout.clone(),
-                            },
-                        );
+                        self.trace_put(tkey, ct.clone());
                     }
-                    events
+                    ct
                 }
             };
-            Some(refine_facts_from(&fe.prog, &layout, &events))
+            Some(refine_facts_from(&fe.prog, &layout, &trace.events))
         } else {
             None
         };
@@ -409,12 +423,8 @@ impl Caches {
         hit
     }
 
-    pub(crate) fn trace_put(&self, key: TraceKey, trace: CachedTrace) {
-        self.traces
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::new(trace));
+    pub(crate) fn trace_put(&self, key: TraceKey, trace: Arc<CachedTrace>) {
+        self.traces.lock().unwrap().entry(key).or_insert(trace);
     }
 
     pub(crate) fn result_get(&self, key: &ResultKey) -> Option<Arc<RunResult>> {
@@ -690,8 +700,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::PlanSourceSpec;
-    use crate::PipelineConfig;
+    use crate::{PipelineConfig, PlanSource};
 
     const COUNTERS: &str = "param NPROC = 2; shared int c[NPROC];
         fn main() { forall p in 0 .. NPROC { var i;
@@ -702,7 +711,7 @@ mod tests {
             meta: block,
             src: src.clone(),
             params: vec![],
-            plan: PlanSourceSpec::Unoptimized,
+            plan: PlanSource::Unoptimized,
             cfg: PipelineConfig::with_block(block),
         }
     }

@@ -8,10 +8,10 @@
 //! pinned golden byte-for-byte.
 
 use crate::json::Value;
-use fsr_core::driver::{BatchStats, PlanSourceSpec};
+use fsr_core::driver::BatchStats;
 use fsr_core::{
     CacheStats, CoherenceEvent, Evicted, InterconnectKind, LayoutPlan, MissKind, ObjPlan,
-    PipelineConfig, PipelineError, Program, ProtocolKind, RunResult, Schedule,
+    PipelineConfig, PipelineError, PlanSource, Program, ProtocolKind, RunResult, Schedule,
 };
 
 /// One parsed request line. `id` is echoed verbatim in the response;
@@ -262,17 +262,27 @@ pub fn parse_params(v: Option<&Value>) -> Result<Vec<(String, i64)>, String> {
 }
 
 /// `plan` on the wire: `"unoptimized"` (default) or `"compiler"`.
-pub fn parse_plan(v: Option<&Value>) -> Result<PlanSourceSpec, String> {
+pub fn parse_plan(v: Option<&Value>) -> Result<PlanSource, String> {
     match v {
-        None | Some(Value::Null) => Ok(PlanSourceSpec::Unoptimized),
+        None | Some(Value::Null) => Ok(PlanSource::Unoptimized),
         Some(v) => match v.as_str() {
-            Some("unoptimized") => Ok(PlanSourceSpec::Unoptimized),
-            Some("compiler") => Ok(PlanSourceSpec::Compiler),
+            Some("unoptimized") => Ok(PlanSource::Unoptimized),
+            Some("compiler") => Ok(PlanSource::Compiler),
             _ => Err(format!(
                 "unknown plan {v} (use \"unoptimized\" or \"compiler\")"
             )),
         },
     }
+}
+
+/// `threads` of a `batch` request: absent or 0 = the machine's
+/// parallelism; a negative count is an error, and a larger one is
+/// capped at the machine's parallelism, so no request can make the
+/// daemon start more worker threads than it has cores.
+pub fn parse_threads(v: &Value) -> Result<usize, String> {
+    let threads: usize = int_field(v, "threads")?.unwrap_or(0);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Ok(threads.min(cores))
 }
 
 fn parse_protocol(s: &str) -> Result<ProtocolKind, String> {
@@ -308,15 +318,25 @@ fn parse_schedule(v: &Value) -> Result<Schedule, String> {
     match kind {
         "round_robin" => Ok(Schedule::RoundRobin),
         "work_steal" => {
-            let seed = v
-                .get("seed")
-                .ok_or("work_steal schedule needs a `seed`")?
-                .as_i64()
-                .ok_or("`schedule.seed` must be an integer")? as u64;
+            let seed = int_field(v, "seed")?.ok_or("work_steal schedule needs a `seed`")?;
             Ok(Schedule::WorkSteal { seed })
         }
         _ => Err(format!("unknown schedule kind `{kind}`")),
     }
+}
+
+/// An optional integer field of a wire object, range-checked into `T`
+/// (a JSON integer that does not fit is an error, never a wrap).
+fn int_field<T: TryFrom<i64>>(v: &Value, key: &str) -> Result<Option<T>, String> {
+    let Some(x) = v.get(key) else {
+        return Ok(None);
+    };
+    let n = x
+        .as_i64()
+        .ok_or_else(|| format!("`{key}` must be an integer"))?;
+    T::try_from(n)
+        .map(Some)
+        .map_err(|_| format!("`{key}` is out of range: {n}"))
 }
 
 /// The keys a wire `config` object may carry.
@@ -333,7 +353,9 @@ const CONFIG_KEYS: [&str; 8] = [
 
 /// `config` on the wire: a flat object over the pipeline's axes. Every
 /// key is optional; omitted keys take [`PipelineConfig`] defaults. A
-/// key outside [`CONFIG_KEYS`] is an error, not silently ignored.
+/// key outside [`CONFIG_KEYS`] is an error, not silently ignored, and
+/// so is an integer outside its field's range or a configuration that
+/// [`PipelineConfig::validate`] rejects.
 ///
 /// ```json
 /// {"block": 128, "cache_bytes": 32768, "assoc": 4,
@@ -342,28 +364,22 @@ const CONFIG_KEYS: [&str; 8] = [
 ///  "schedule": {"kind": "work_steal", "seed": 7}}
 /// ```
 pub fn parse_config(v: Option<&Value>) -> Result<PipelineConfig, String> {
-    if let Some(fields) = v.and_then(Value::as_obj) {
-        if let Some((k, _)) = fields
-            .iter()
-            .find(|(k, _)| !CONFIG_KEYS.contains(&k.as_str()))
-        {
-            return Err(format!("unknown config key `{k}`"));
-        }
-    }
-    let block = match v.and_then(|v| v.get("block")) {
-        Some(b) => b.as_i64().ok_or("`block` must be an integer")? as u32,
-        None => 128,
+    let Some(v) = v.filter(|v| **v != Value::Null) else {
+        return Ok(PipelineConfig::with_block(128));
     };
-    let mut cfg = PipelineConfig::with_block(block);
-    let v = match v {
-        Some(v) => v,
-        None => return Ok(cfg),
-    };
-    if let Some(c) = v.get("cache_bytes") {
-        cfg.cache_bytes = c.as_i64().ok_or("`cache_bytes` must be an integer")? as u32;
+    let fields = v.as_obj().ok_or("`config` must be an object")?;
+    if let Some((k, _)) = fields
+        .iter()
+        .find(|(k, _)| !CONFIG_KEYS.contains(&k.as_str()))
+    {
+        return Err(format!("unknown config key `{k}`"));
     }
-    if let Some(a) = v.get("assoc") {
-        cfg.assoc = a.as_i64().ok_or("`assoc` must be an integer")? as u32;
+    let mut cfg = PipelineConfig::with_block(int_field(v, "block")?.unwrap_or(128));
+    if let Some(c) = int_field(v, "cache_bytes")? {
+        cfg.cache_bytes = c;
+    }
+    if let Some(a) = int_field(v, "assoc")? {
+        cfg.assoc = a;
     }
     if let Some(p) = v.get("protocol") {
         cfg.protocol = parse_protocol(p.as_str().ok_or("`protocol` must be a string")?)?;
@@ -372,15 +388,16 @@ pub fn parse_config(v: Option<&Value>) -> Result<PipelineConfig, String> {
         cfg.machine.interconnect =
             parse_interconnect(i.as_str().ok_or("`interconnect` must be a string")?)?;
     }
-    if let Some(s) = v.get("seed") {
-        cfg.run.seed = s.as_i64().ok_or("`seed` must be an integer")? as u64;
+    if let Some(s) = int_field(v, "seed")? {
+        cfg.run.seed = s;
     }
-    if let Some(m) = v.get("max_steps") {
-        cfg.run.max_steps = m.as_i64().ok_or("`max_steps` must be an integer")? as u64;
+    if let Some(m) = int_field(v, "max_steps")? {
+        cfg.run.max_steps = m;
     }
     if let Some(s) = v.get("schedule") {
         cfg.run.schedule = parse_schedule(s)?;
     }
+    cfg.validate().map_err(|e| e.to_string())?;
     Ok(cfg)
 }
 
@@ -444,6 +461,47 @@ mod tests {
                 format!("unknown config key `{key}`")
             );
         }
+        // A config that is not an object is an error, not the defaults.
+        for bad in ["5", "\"msi\"", "[]"] {
+            let v = crate::json::parse(bad).unwrap();
+            assert!(parse_config(Some(&v)).is_err(), "{bad} should be rejected");
+        }
+        assert!(parse_config(Some(&Value::Null)).is_ok(), "null = absent");
+        // Integers that do not fit their field are errors, not wraps.
+        for (bad, key) in [
+            (r#"{"assoc": 4294967297}"#, "assoc"),
+            (r#"{"block": -128}"#, "block"),
+            (r#"{"cache_bytes": -1}"#, "cache_bytes"),
+            (r#"{"seed": -1}"#, "seed"),
+            (
+                r#"{"schedule": {"kind": "work_steal", "seed": -7}}"#,
+                "seed",
+            ),
+        ] {
+            let v = crate::json::parse(bad).unwrap();
+            let e = parse_config(Some(&v)).unwrap_err();
+            assert!(
+                e.starts_with(&format!("`{key}` is out of range")),
+                "{bad}: {e}"
+            );
+        }
+        // Configurations the simulator cannot run are rejected here,
+        // before any job is built from them.
+        for bad in [r#"{"block": 3}"#, r#"{"block": 0}"#, r#"{"assoc": 0}"#] {
+            let v = crate::json::parse(bad).unwrap();
+            assert!(parse_config(Some(&v)).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    #[test]
+    fn threads_are_range_checked_and_capped() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = |s: &str| parse_threads(&crate::json::parse(s).unwrap());
+        assert_eq!(threads("{}").unwrap(), 0, "absent = auto");
+        assert_eq!(threads(r#"{"threads": 1}"#).unwrap(), 1);
+        assert_eq!(threads(r#"{"threads": 1000000}"#).unwrap(), cores);
+        assert!(threads(r#"{"threads": -1}"#).is_err());
+        assert!(threads(r#"{"threads": "4"}"#).is_err());
     }
 
     #[test]
@@ -470,14 +528,11 @@ mod tests {
 
     #[test]
     fn plan_spec_parses() {
-        assert!(matches!(
-            parse_plan(None).unwrap(),
-            PlanSourceSpec::Unoptimized
-        ));
+        assert!(matches!(parse_plan(None).unwrap(), PlanSource::Unoptimized));
         let c = crate::json::parse("\"compiler\"").unwrap();
         assert!(matches!(
             parse_plan(Some(&c)).unwrap(),
-            PlanSourceSpec::Compiler
+            PlanSource::Compiler
         ));
         let bad = crate::json::parse("\"programmer\"").unwrap();
         assert!(parse_plan(Some(&bad)).is_err());

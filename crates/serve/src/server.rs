@@ -250,7 +250,7 @@ impl Server {
         let fe = snapshot
             .front_end(&src, &p)
             .map_err(|e| pipeline_error_json(&e, &src).to_string())?;
-        let plan = fsr_core::plan_of(&fe.prog, &PlanSource::Compiler, &cfg)
+        let plan = fsr_core::plan_of(&fe.prog, &PlanSource::Compiler, &cfg, || fe.analysis())
             .map_err(|e| pipeline_error_json(&e, &src).to_string())?;
         Ok(proto::plan_json(&plan, &fe.prog))
     }
@@ -292,10 +292,7 @@ impl Server {
             .get("jobs")
             .and_then(Value::as_arr)
             .ok_or("`batch` needs a `jobs` array")?;
-        let threads = match params.get("threads") {
-            Some(t) => t.as_i64().ok_or("`threads` must be an integer")? as usize,
-            None => 0, // auto
-        };
+        let threads = proto::parse_threads(params)?;
         let mut jobs = Vec::with_capacity(jobs_val.len());
         for (i, jv) in jobs_val.iter().enumerate() {
             jobs.push(Self::job_of(&snapshot, jv, i).map_err(|e| format!("job {i}: {e}"))?);

@@ -13,6 +13,9 @@ cargo run -q --release --bin fig3 -- --smoke
 # seeded-race mutant suite must get every static verdict right.
 cargo run -q --release --bin fsr-lint -- --json | diff -u tests/golden/lint.json -
 cargo run -q --release --bin fsr-lint -- --mutants
+# Trace-refined lint: the same report with dynamic conflict witnesses
+# from a recorded reference trace folded in, pinned byte-for-byte.
+cargo run -q --release --bin fsr-lint -- --refine | diff -u tests/golden/lint_refined.json -
 # Static-vs-dynamic scoring: exit 1 unless precision == 1.000 (no
 # unconfirmed static report anywhere) and recall >= 0.85 against the
 # happens-before ground truth (relational index domain recovers the

@@ -8,7 +8,7 @@
 //! full pipeline runs; here they are asserted directly so a new miss
 //! class or event added without updating every consumer fails loudly.
 
-use fsr_core::driver::{run_batch, Job, PlanSourceSpec};
+use fsr_core::driver::{run_batch, Job};
 use fsr_core::{
     run_pipeline, InterconnectKind, MissKind, PipelineConfig, PipelineError, PlanSource,
     ProtocolKind, Schedule,
@@ -276,14 +276,14 @@ fn pipeline_and_batch_surface_layout_overflow_as_errors() {
             meta: "ok",
             src: Arc::from(COUNTERS),
             params: vec![],
-            plan: PlanSourceSpec::Unoptimized,
+            plan: PlanSource::Unoptimized,
             cfg: PipelineConfig::default(),
         },
         Job {
             meta: "overflow",
             src: Arc::from(huge),
             params: vec![],
-            plan: PlanSourceSpec::Unoptimized,
+            plan: PlanSource::Unoptimized,
             cfg: PipelineConfig::default(),
         },
     ];

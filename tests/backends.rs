@@ -3,7 +3,7 @@
 //! classification, and batched runs share one interpretation across
 //! every (protocol, interconnect) combination.
 
-use fsr_core::driver::{run_batch_with_stats, Job, PlanSourceSpec};
+use fsr_core::driver::{run_batch_with_stats, Job};
 use fsr_core::experiments::{speedup_sweep, Vsn};
 use fsr_core::{
     run_pipeline, InterconnectKind, MissKind, PipelineConfig, PlanSource, ProtocolKind,
@@ -91,7 +91,7 @@ fn batch_shares_one_interpretation_across_backends() {
                 meta: (p, ic),
                 src: src.clone(),
                 params: vec![],
-                plan: PlanSourceSpec::Unoptimized,
+                plan: PlanSource::Unoptimized,
                 cfg: PipelineConfig::default().with_backends(p, ic),
             });
         }

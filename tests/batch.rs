@@ -1,21 +1,12 @@
 //! Equivalence and work-sharing guarantees of the batched experiment
 //! engine (`run_batch`) against the reference per-job pipeline.
 
-use fsr_core::driver::{run_batch_with_stats, Job, PlanSourceSpec};
+use fsr_core::driver::{run_batch_with_stats, Job};
 use fsr_core::{run_pipeline, PipelineConfig, PlanSource, RunResult};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const BLOCKS: [u32; 6] = [8, 16, 32, 64, 128, 256];
-
-fn spec_of(plan: &PlanSource) -> PlanSourceSpec {
-    match plan {
-        PlanSource::Unoptimized => PlanSourceSpec::Unoptimized,
-        PlanSource::Compiler => PlanSourceSpec::Compiler,
-        PlanSource::Programmer(f) => PlanSourceSpec::Programmer(*f),
-        PlanSource::Explicit(p) => PlanSourceSpec::Explicit(p.clone()),
-    }
-}
 
 fn assert_same(want: &RunResult, got: &RunResult, ctx: &str) {
     assert_eq!(want.nproc, got.nproc, "{ctx}: nproc");
@@ -63,7 +54,7 @@ proptest! {
                     format!("{}/{b}/{plan:?}", w.name),
                     src.clone(),
                     &params,
-                    spec_of(&plan),
+                    plan,
                     cfg,
                 ));
             }
@@ -93,7 +84,7 @@ fn fingerprint_equal_jobs_share_one_interpretation() {
             meta: b,
             src: Arc::from(COUNTERS),
             params: vec![],
-            plan: PlanSourceSpec::Unoptimized,
+            plan: PlanSource::Unoptimized,
             cfg: PipelineConfig::with_block(b),
         })
         .collect();
@@ -124,7 +115,7 @@ fn block_dependent_plans_translate_into_one_pass() {
             meta: b,
             src: Arc::from(COUNTERS),
             params: vec![],
-            plan: PlanSourceSpec::Compiler,
+            plan: PlanSource::Compiler,
             cfg: PipelineConfig::with_block(b),
         })
         .collect();
@@ -163,7 +154,7 @@ fn indirection_groups_keep_their_own_pass() {
             meta: b,
             src: Arc::from(src),
             params: vec![],
-            plan: PlanSourceSpec::Compiler,
+            plan: PlanSource::Compiler,
             cfg: PipelineConfig::with_block(b),
         })
         .collect();
@@ -188,8 +179,8 @@ fn batch_caches_front_ends_across_plan_variants() {
     let mut jobs: Vec<Job<&'static str>> = Vec::new();
     let src: Arc<str> = Arc::from(COUNTERS);
     for (tag, plan) in [
-        ("unopt", PlanSourceSpec::Unoptimized),
-        ("compiler", PlanSourceSpec::Compiler),
+        ("unopt", PlanSource::Unoptimized),
+        ("compiler", PlanSource::Compiler),
     ] {
         for &b in &[32u32, 128] {
             jobs.push(Job {

@@ -10,7 +10,7 @@
 //! drift is caught as loudly as classification drift.
 
 use fsr_core::driver::{run_batch, Job};
-use fsr_core::experiments::{directory_ablation, plan_spec, Backend, Vsn};
+use fsr_core::experiments::{plan_source, protocol_matrix_cells, Backend, Vsn};
 use fsr_core::{run_pipeline, InterconnectKind, MissKind, PlanSource, ProtocolKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -30,7 +30,7 @@ fn run_matrix() -> BTreeMap<(String, String, usize), fsr_core::RunResult> {
                     meta: (w.name.to_string(), v.label().to_string(), bi),
                     src: Arc::from(w.source),
                     params: vec![("NPROC".into(), NPROC), ("SCALE".into(), SCALE)],
-                    plan: plan_spec(&w, v),
+                    plan: plan_source(&w, v),
                     cfg: b.config(BLOCK),
                 });
             }
@@ -133,7 +133,15 @@ fn counters_kernel_directory_golden() {
 
 #[test]
 fn ablation_rows_are_complete_and_internally_consistent() {
-    let rows = directory_ablation(&["maxflow", "mp3d"], NPROC, SCALE, BLOCK, 0);
+    let rows = protocol_matrix_cells(
+        &["maxflow", "mp3d"],
+        &[Vsn::N, Vsn::C],
+        NPROC,
+        SCALE,
+        BLOCK,
+        0,
+        &Backend::ABLATION,
+    );
     // 2 workloads × 2 versions × 3 backends.
     assert_eq!(rows.len(), 12);
 
@@ -147,15 +155,15 @@ fn ablation_rows_are_complete_and_internally_consistent() {
             let base = cell[0];
             assert_eq!(base.protocol, "msi");
             for r in &cell[1..] {
-                assert_eq!(r.misses, base.misses, "{name}/{vsn}: taxonomy");
+                assert_eq!(r.sim.misses, base.sim.misses, "{name}/{vsn}: taxonomy");
             }
             let dir = cell
                 .iter()
                 .find(|r| r.protocol == "directory")
                 .expect("directory row");
             assert_eq!(dir.interconnect, "home-dir");
-            assert!(dir.dir_txns > 0, "{name}/{vsn}: home saw traffic");
-            let fs = base.misses[MissKind::FalseSharing as usize];
+            assert!(dir.sim.dir_txns > 0, "{name}/{vsn}: home saw traffic");
+            let fs = base.sim.misses[MissKind::FalseSharing as usize];
             if vsn == "unopt" {
                 assert!(fs > 0, "{name} unopt must exhibit false sharing");
             }

@@ -227,7 +227,7 @@ fn driver_matches_sequential_results() {
         meta: (),
         src: std::sync::Arc::from(w.source),
         params: vec![("NPROC".into(), 4), ("SCALE".into(), 1)],
-        plan: fsr_core::driver::PlanSourceSpec::Compiler,
+        plan: PlanSource::Compiler,
         cfg: PipelineConfig::with_block(128),
     }];
     let out = fsr_core::driver::run_jobs(jobs, 2);

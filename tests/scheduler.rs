@@ -7,7 +7,8 @@
 //! collide into one trace group or be served from one another's cached
 //! results.
 
-use fsr_core::driver::{run_batch, run_batch_with_stats, Job, PlanSourceSpec};
+use fsr_core::driver::{run_batch, run_batch_with_stats, Job};
+use fsr_core::PlanSource;
 use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, RunResult, Schedule, World};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -53,7 +54,7 @@ fn sched_jobs(
     schedule: Schedule,
 ) -> Vec<Job<String>> {
     let src: Arc<str> = Arc::from(w.source);
-    [PlanSourceSpec::Unoptimized, PlanSourceSpec::Compiler]
+    [PlanSource::Unoptimized, PlanSource::Compiler]
         .into_iter()
         .map(|plan| {
             let mut cfg = PipelineConfig::with_block(128).with_backends(backend.0, backend.1);
@@ -108,7 +109,7 @@ fn round_robin_is_the_default_and_never_steals() {
                 "default".to_string(),
                 src,
                 &[("NPROC", 4), ("SCALE", 1)],
-                PlanSourceSpec::Unoptimized,
+                PlanSource::Unoptimized,
                 PipelineConfig::with_block(128).with_backends(backend.0, backend.1),
             )]
         },
@@ -146,7 +147,7 @@ fn distinct_seeds_split_trace_groups_same_seed_shares() {
                 format!("blk{blk}"),
                 src,
                 &[("NPROC", 4), ("SCALE", 1)],
-                PlanSourceSpec::Unoptimized,
+                PlanSource::Unoptimized,
                 cfg,
             )
         })
@@ -194,7 +195,7 @@ fn world_caches_miss_across_seeds_and_hit_within_one() {
             format!("{schedule:?}"),
             snapshot.doc("w").unwrap(),
             &[("NPROC", 4), ("SCALE", 1)],
-            PlanSourceSpec::Unoptimized,
+            PlanSource::Unoptimized,
             cfg,
         );
         let (out, stats) = snapshot.run_batch_with_stats(vec![job], 1);

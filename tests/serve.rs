@@ -4,7 +4,8 @@
 //! one-shot `run_batch` pipeline computes for the same cell. The matrix
 //! is all ten workloads × all three protocol backends.
 
-use fsr_core::driver::{Job, PlanSourceSpec};
+use fsr_core::driver::Job;
+use fsr_core::PlanSource;
 use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, World};
 use fsr_serve::json::Value;
 use fsr_serve::proto::run_result_json;
@@ -41,7 +42,7 @@ fn reference_cells() -> BTreeMap<String, String> {
                 meta: (),
                 src: src.clone(),
                 params: params.clone(),
-                plan: PlanSourceSpec::Unoptimized,
+                plan: PlanSource::Unoptimized,
                 cfg: PipelineConfig::with_block(BLOCK).with_backends(protocol, ic),
             };
             let mut out = snapshot.run_batch(vec![job], 1);

@@ -5,8 +5,9 @@
 //! each run's `BatchStats` and through `Arc` pointer identity of the
 //! untouched front ends.
 
-use fsr_core::driver::{Job, PlanSourceSpec};
-use fsr_core::{PipelineConfig, World};
+use fsr_core::driver::Job;
+use fsr_core::PlanSource;
+use fsr_core::{LayoutPlan, ObjPlan, PipelineConfig, World};
 use std::sync::Arc;
 
 /// Three distinct little programs — distinct contents, so the world
@@ -24,7 +25,7 @@ fn job(src: &Arc<str>, meta: usize) -> Job<usize> {
         meta,
         src: src.clone(),
         params: vec![],
-        plan: PlanSourceSpec::Unoptimized,
+        plan: PlanSource::Unoptimized,
         cfg: PipelineConfig::with_block(64),
     }
 }
@@ -148,4 +149,37 @@ fn two_docs_sharing_content_share_one_front_end() {
         .front_end(&snapshot.doc("y").unwrap(), &[])
         .unwrap();
     assert!(Arc::ptr_eq(&fy, &fy2));
+}
+
+#[test]
+fn result_cache_keys_explicit_plans_apart() {
+    // The result-cache key renders the plan source with `Debug`; two
+    // explicit plans that differ in one directive must never share an
+    // entry.
+    let world = World::new();
+    let snapshot = world.snapshot();
+    let src: Arc<str> = Arc::from(source(50));
+    let fe = snapshot.front_end(&src, &[]).unwrap();
+    let (c, _) = fe.prog.object_by_name("c").unwrap();
+    let packed = LayoutPlan::unoptimized(64);
+    let mut padded = packed.clone();
+    padded.insert(c, ObjPlan::PadElems, "test");
+    let run = |plan: &LayoutPlan| {
+        let job = Job {
+            plan: PlanSource::Explicit(plan.clone()),
+            ..job(&src, 0)
+        };
+        let (mut out, stats) = snapshot.run_batch_with_stats(vec![job], 1);
+        (out.remove(0).1.expect("clean run"), stats.result_hits)
+    };
+
+    let (first, hits) = run(&packed);
+    assert_eq!(hits, 0);
+    let (second, hits) = run(&padded);
+    assert_eq!(hits, 0, "a different directive is a different job");
+    assert!(first.sim.false_sharing() > 0);
+    assert_eq!(second.sim.false_sharing(), 0, "served its own result");
+    let (again, hits) = run(&packed);
+    assert_eq!(hits, 1, "the first plan is served from the cache");
+    assert_eq!(again.sim, first.sim);
 }
